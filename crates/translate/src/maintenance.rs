@@ -555,4 +555,26 @@ mod tests {
         assert_eq!(PolicyChange::Assign(a.clone()).domain().as_str(), "E");
         assert_eq!(PolicyChange::Unassign(a).domain().as_str(), "E");
     }
+
+    #[test]
+    fn empty_witnesses_are_left_out_of_the_json() {
+        let mut finding = AdmissionFinding {
+            code: "HS013".to_string(),
+            severity: "error".to_string(),
+            message: "banned".to_string(),
+            witnesses: Vec::new(),
+        };
+        let text = serde_json::to_string(&finding).unwrap();
+        assert_eq!(text, r#"{"code":"HS013","severity":"error","message":"banned"}"#);
+        assert_eq!(serde_json::from_str::<AdmissionFinding>(&text).unwrap(), finding);
+        finding.witnesses.push(AdmissionWitness {
+            principal: "Kalice".to_string(),
+            attributes: "oper=\"read\"".to_string(),
+            before: "DENY".to_string(),
+            after: "GRANT".to_string(),
+        });
+        let text = serde_json::to_string(&finding).unwrap();
+        assert!(text.contains(r#""witnesses":[{"principal":"Kalice""#), "{text}");
+        assert_eq!(serde_json::from_str::<AdmissionFinding>(&text).unwrap(), finding);
+    }
 }

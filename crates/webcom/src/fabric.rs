@@ -21,8 +21,8 @@
 
 use crate::master::{BurstOp, MasterStats, WebComMaster};
 use crate::protocol::{ExecError, ExecOutcome, ScheduleReply, ScheduleRequest};
-use crate::transport::TransportError;
-use crate::wire::{read_frame, write_frame, WireError};
+use crate::transport::{encode_error, TransportError};
+use crate::wire::{encode_forward, read_frame, write_encoded, write_frame, WireError};
 use crate::{WireRequest, WireResponse};
 use hetsec_keynote::principal_fingerprint;
 use parking_lot::Mutex;
@@ -175,11 +175,7 @@ impl TcpPeerLink {
         }
     }
 
-    fn exchange(
-        &self,
-        request: &WireRequest,
-        timeout: Duration,
-    ) -> Result<WireResponse, TransportError> {
+    fn exchange(&self, frame: &[u8], timeout: Duration) -> Result<WireResponse, TransportError> {
         let mut guard = self.conn.lock();
         if guard.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, timeout)
@@ -192,7 +188,7 @@ impl TcpPeerLink {
             .set_read_timeout(Some(timeout))
             .and_then(|()| stream.set_write_timeout(Some(timeout)))
             .map_err(|e| TransportError::Closed(e.to_string()))?;
-        let result = write_frame(stream, request)
+        let result = write_encoded(stream, frame)
             .and_then(|()| read_frame::<WireResponse, _>(stream))
             .map_err(|e| match e {
                 WireError::Io(ioe) if ioe.kind() == std::io::ErrorKind::WouldBlock => {
@@ -220,10 +216,7 @@ impl PeerLink for TcpPeerLink {
         hops: u8,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
-        let frame = WireRequest::Forward {
-            request: Box::new(request.clone()),
-            hops,
-        };
+        let frame = encode_forward(request, hops).map_err(encode_error)?;
         match self.exchange(&frame, timeout)? {
             WireResponse::ForwardReply(reply) if reply.op_id == request.op_id => Ok(reply),
             WireResponse::ForwardReply(reply) => Err(TransportError::Protocol(format!(

@@ -77,7 +77,10 @@ pub use transport::{
     ChannelTransport, ClientTransport, FaultyTransport, TcpTransport, TransportError,
 };
 pub use stamp::{StampIssuer, StampStats, StampVerifier};
-pub use wire::{decode_frame, encode_frame, read_frame, write_frame, WireError, MAX_FRAME_LEN};
+pub use wire::{
+    decode_frame, encode_forward, encode_frame, encode_schedule, read_frame, write_encoded,
+    write_frame, WireError, MAX_DEPTH, MAX_FRAME_LEN,
+};
 pub use stack::{
     ApplicationLayer, AuthzContext, AuthzLayer, AuthzStack, CombinationRule, LayerLevel,
     MiddlewareLayer, StackDecision, TrustLayer, UnixOsLayer, Verdict, WindowsOsLayer,

@@ -404,6 +404,20 @@ impl WebComMaster {
         *self.shard.write() = Some(info);
     }
 
+    /// A fresh op id. A forwarded op keeps its origin's id, and the
+    /// owner's mux correlates replies by id alone, so sharded masters
+    /// draw from disjoint residue classes (`counter × shards + shard_id`)
+    /// and an id never collides across the ring.
+    fn next_op_id(&self, shard: Option<&ShardInfo>) -> u64 {
+        let counter = self.op_counter.fetch_add(1, Ordering::Relaxed);
+        match shard {
+            Some(s) => counter
+                .wrapping_mul(s.ring.shards() as u64)
+                .wrapping_add(s.shard_id as u64),
+            None => counter,
+        }
+    }
+
     /// This master's shard id, when sharded.
     pub fn shard_id(&self) -> Option<usize> {
         self.shard.read().as_ref().map(|s| s.shard_id)
@@ -607,10 +621,7 @@ impl WebComMaster {
             .into_iter()
             .zip(route)
             .zip(per_op_targets)
-            .map(|((op, home), targets)| {
-                let op_id = self.op_counter.fetch_add(1, Ordering::Relaxed);
-                (op_id, op, home, targets)
-            })
+            .map(|((op, home), targets)| (self.next_op_id(shard.as_deref()), op, home, targets))
             .collect();
         let par = self.burst_parallelism.min(jobs.len()).max(1);
         if par == 1 {

@@ -27,12 +27,12 @@
 //! pending entry is already gone.
 
 use crate::protocol::{ClientIdentity, ScheduleReply, ScheduleRequest};
-use crate::transport::{ClientTransport, TcpTransport, TransportError};
-use crate::wire::{read_frame, write_frame};
-use crate::{WireRequest, WireResponse};
+use crate::transport::{encode_error, ClientTransport, TcpTransport, TransportError};
+use crate::wire::{encode_schedule, read_frame, write_encoded};
+use crate::WireResponse;
 use crossbeam::channel::{self, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -121,9 +121,18 @@ impl ConnState {
     /// drain finds the entry and fails it — the entry can never be
     /// orphaned with a caller blocked on it for the full timeout.
     ///
+    /// An `op_id` that is already pending is refused with
+    /// [`TransportError::DuplicateOp`] rather than overwriting the other
+    /// caller's entry, which would hand it this caller's reply.
+    ///
     /// [`poison`]: ConnState::poison
     fn register(&self, op_id: u64, tx: Sender<ReplyResult>) -> Result<(), TransportError> {
-        self.pending.lock().insert(op_id, tx);
+        match self.pending.lock().entry(op_id) {
+            Entry::Occupied(_) => return Err(TransportError::DuplicateOp(op_id)),
+            Entry::Vacant(slot) => {
+                slot.insert(tx);
+            }
+        }
         if self.dead.load(Ordering::SeqCst) {
             self.pending.lock().remove(&op_id);
             return Err(TransportError::Closed(format!(
@@ -250,6 +259,9 @@ impl ClientTransport for MuxTransport {
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
         let started = Instant::now();
+        // Encode up front: the writer lock then covers only the socket
+        // write, and a frame that cannot be encoded never takes a slot.
+        let frame = encode_schedule(request).map_err(encode_error)?;
         let conn = self.ensure_conn()?;
         // Window admission: wait for a free in-flight slot, but never
         // past the call deadline.
@@ -275,10 +287,9 @@ impl ClientTransport for MuxTransport {
         // timeout.
         let (reply_tx, reply_rx) = channel::unbounded::<ReplyResult>();
         conn.register(request.op_id, reply_tx)?;
-        let frame = WireRequest::Schedule(Box::new(request.clone()));
         {
             let mut writer = conn.writer.lock();
-            if let Err(e) = write_frame(&mut *writer, &frame) {
+            if let Err(e) = write_encoded(&mut *writer, &frame) {
                 drop(writer);
                 conn.pending.lock().remove(&request.op_id);
                 conn.poison(&format!("write failed: {e}"));
@@ -377,5 +388,19 @@ mod tests {
             other => panic!("expected drained Closed error, got {other:?}"),
         }
         assert!(conn.pending.lock().is_empty());
+    }
+
+    #[test]
+    fn duplicate_op_id_is_refused_not_overwritten() {
+        let (conn, _peer) = loopback_conn();
+        let (first_tx, first_rx) = channel::unbounded::<ReplyResult>();
+        conn.register(11, first_tx).unwrap();
+        let (second_tx, _second_rx) = channel::unbounded::<ReplyResult>();
+        let err = conn.register(11, second_tx).unwrap_err();
+        assert!(matches!(err, TransportError::DuplicateOp(11)), "{err:?}");
+        assert!(!err.to_exec_error().retryable);
+        // The first caller still owns the entry: the drain reaches it.
+        conn.poison("peer reset");
+        assert!(matches!(first_rx.try_recv(), Ok(Err(TransportError::Closed(_)))));
     }
 }

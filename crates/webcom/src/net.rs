@@ -19,7 +19,7 @@ use crate::protocol::{
     ClientIdentity, ExecError, ExecOutcome, ScheduleReply, ScheduleRequest, WireRequest,
     WireResponse,
 };
-use crate::wire::{read_frame, write_frame};
+use crate::wire::{encode_frame, read_frame, write_encoded, write_frame};
 use hetsec_rbac::Domain;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -299,8 +299,11 @@ fn serve_connection_pipelined(
                 };
                 let reply = engine.handle(&req);
                 shared.served.fetch_add(1, Ordering::SeqCst);
+                // Encode outside the writer lock so workers serialise
+                // replies in parallel and queue only for the write.
+                let frame = encode_frame(&WireResponse::Reply(reply));
                 let mut w = writer.lock();
-                if write_frame(&mut *w, &WireResponse::Reply(reply)).is_err() {
+                if frame.and_then(|f| write_encoded(&mut *w, &f)).is_err() {
                     let _ = w.shutdown(Shutdown::Both);
                     break;
                 }
@@ -322,8 +325,10 @@ fn serve_connection_pipelined(
             WireRequest::Forward { request, .. } => Some(forward_misdirected(&request)),
         };
         if let Some(response) = response {
-            let mut w = writer.lock();
-            if write_frame(&mut *w, &response).is_err() {
+            let Ok(frame) = encode_frame(&response) else {
+                break;
+            };
+            if write_encoded(&mut *writer.lock(), &frame).is_err() {
                 break;
             }
         }

@@ -13,7 +13,7 @@ use crate::client::ClientMessage;
 use crate::protocol::{
     ClientIdentity, ExecError, ScheduleReply, ScheduleRequest, WireRequest, WireResponse,
 };
-use crate::wire::{read_frame, write_frame, WireError};
+use crate::wire::{encode_frame, encode_schedule, read_frame, write_encoded, WireError};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpStream};
@@ -34,6 +34,10 @@ pub enum TransportError {
     /// The peer spoke the protocol wrong (bad frame, reply for a
     /// different operation).
     Protocol(String),
+    /// Another call with this op id is already awaiting its reply on the
+    /// connection; the replies could not be told apart, so this call is
+    /// refused before it is sent.
+    DuplicateOp(u64),
 }
 
 impl std::fmt::Display for TransportError {
@@ -43,6 +47,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Unreachable(m) => write!(f, "peer unreachable: {m}"),
             TransportError::Closed(m) => write!(f, "connection lost: {m}"),
             TransportError::Protocol(m) => write!(f, "protocol violation: {m}"),
+            TransportError::DuplicateOp(id) => write!(f, "op {id} is already in flight"),
         }
     }
 }
@@ -62,7 +67,9 @@ impl TransportError {
             TransportError::Unreachable(_) | TransportError::Closed(_) => {
                 ExecError::transport(self.to_string())
             }
-            TransportError::Protocol(_) => ExecError::protocol(self.to_string()),
+            TransportError::Protocol(_) | TransportError::DuplicateOp(_) => {
+                ExecError::protocol(self.to_string())
+            }
         }
     }
 }
@@ -131,6 +138,12 @@ impl ClientTransport for ChannelTransport {
 
 // ---- TCP transport ----
 
+/// A frame this side could not encode (nesting past the depth cap): a
+/// protocol error, raised before anything touches the socket.
+pub(crate) fn encode_error(e: WireError) -> TransportError {
+    TransportError::Protocol(format!("cannot encode frame: {e}"))
+}
+
 /// How many stale (previously timed-out) replies a call will skip while
 /// looking for its own `op_id`. Connections are dropped on timeout, so
 /// in practice this is only exercised by misbehaving peers.
@@ -170,7 +183,8 @@ impl TcpTransport {
     /// Connects and performs the registration handshake: who is serving
     /// at `peer`, and which domains do they cover?
     pub fn identify(&self, timeout: Duration) -> Result<ClientIdentity, TransportError> {
-        match self.exchange(&WireRequest::Identify, timeout)? {
+        let frame = encode_frame(&WireRequest::Identify).map_err(encode_error)?;
+        match self.exchange(&frame, timeout)? {
             WireResponse::Identity(id) => Ok(id),
             WireResponse::Error(e) => Err(TransportError::Protocol(e.detail)),
             WireResponse::Reply(r) | WireResponse::ForwardReply(r) => {
@@ -183,11 +197,7 @@ impl TcpTransport {
     }
 
     /// One framed request/response exchange under the connection lock.
-    fn exchange(
-        &self,
-        request: &WireRequest,
-        timeout: Duration,
-    ) -> Result<WireResponse, TransportError> {
+    fn exchange(&self, frame: &[u8], timeout: Duration) -> Result<WireResponse, TransportError> {
         let mut guard = self.stream.lock();
         if guard.is_none() {
             let stream = TcpStream::connect_timeout(&self.peer, self.connect_timeout)
@@ -199,7 +209,7 @@ impl TcpTransport {
         stream
             .set_read_timeout(Some(timeout))
             .map_err(|e| TransportError::Protocol(format!("set_read_timeout: {e}")))?;
-        let result = Self::exchange_on(stream, request, timeout);
+        let result = Self::exchange_on(stream, frame, timeout);
         if result.is_err() {
             // Drop the connection: a failed exchange leaves it in an
             // unknown framing state (or with a late reply in flight).
@@ -210,10 +220,10 @@ impl TcpTransport {
 
     fn exchange_on(
         stream: &mut TcpStream,
-        request: &WireRequest,
+        frame: &[u8],
         timeout: Duration,
     ) -> Result<WireResponse, TransportError> {
-        write_frame(stream, request).map_err(|e| match e {
+        write_encoded(stream, frame).map_err(|e| match e {
             WireError::Io(ref io) if io.kind() == std::io::ErrorKind::BrokenPipe => {
                 TransportError::Closed(e.to_string())
             }
@@ -243,8 +253,8 @@ impl ClientTransport for TcpTransport {
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
         let started = Instant::now();
-        let mut response =
-            self.exchange(&WireRequest::Schedule(Box::new(request.clone())), timeout)?;
+        let frame = encode_schedule(request).map_err(encode_error)?;
+        let mut response = self.exchange(&frame, timeout)?;
         // Correlate by op_id: skip stale replies (an earlier call that
         // timed out after the client already queued its answer). The
         // whole drain runs under the call's single deadline — each

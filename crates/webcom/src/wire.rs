@@ -5,8 +5,33 @@
 //! must be *errors* — truncated, oversized and garbage frames all
 //! surface as [`WireError`], never as a panic — because the master must
 //! keep scheduling when a client feeds it junk.
+//!
+//! The codec streams: [`encode_frame`] writes the length prefix and the
+//! JSON body into one buffer with no intermediate value tree, and
+//! [`decode_frame`]/[`read_frame`] parse the typed value straight out of
+//! the body bytes. Two rules bound what a peer can make the receiver do:
+//!
+//! * **Depth cap.** A frame may nest at most [`MAX_DEPTH`] JSON arrays
+//!   and objects. Decoding a deeper frame fails with
+//!   [`WireError::Malformed`] before it can exhaust the reading thread's
+//!   stack, and [`encode_frame`] refuses to produce one. The cap sits
+//!   above the deepest frame this workspace's own types produce: a
+//!   forwarded credential licensing 500 principals through a `||` chain
+//!   nests about 1,000 levels.
+//! * **Duplicate keys.** A struct field that appears twice in one
+//!   object (or a map key that repeats) makes the frame
+//!   [`WireError::Malformed`]; the receiver never picks one of the two
+//!   values. Unknown fields are skipped, which is how new optional
+//!   fields stay compatible with older peers.
+//!
+//! Callers that share a socket encode a frame first and hold the
+//! writer lock only for [`write_encoded`]. [`encode_schedule`] and
+//! [`encode_forward`] frame a borrowed [`ScheduleRequest`] with the same
+//! bytes as the owned [`WireRequest`] variants, without cloning it.
 
-use serde::{Deserialize, Serialize};
+use crate::protocol::ScheduleRequest;
+use serde::ser::SerializeStruct;
+use serde::{Deserialize, Serialize, Serializer};
 use std::io::{Read, Write};
 
 /// Upper bound on a single frame. A schedule request is a component
@@ -15,6 +40,10 @@ use std::io::{Read, Write};
 /// make the receiver allocate gigabytes.
 pub const MAX_FRAME_LEN: usize = 4 * 1024 * 1024;
 
+/// The deepest nesting of JSON arrays and objects a frame may hold, in
+/// either direction (see the module docs).
+pub const MAX_DEPTH: usize = serde_json::MAX_DEPTH;
+
 /// Why a frame could not be encoded or decoded.
 #[derive(Debug)]
 pub enum WireError {
@@ -22,7 +51,8 @@ pub enum WireError {
     Truncated,
     /// The length prefix exceeds [`MAX_FRAME_LEN`].
     Oversized(usize),
-    /// The payload was not valid UTF-8 JSON for the expected type.
+    /// The payload was not valid UTF-8 JSON for the expected type, or
+    /// broke the depth or duplicate-key rule.
     Malformed(String),
     /// The underlying stream failed.
     Io(std::io::Error),
@@ -65,30 +95,80 @@ fn io_error(e: std::io::Error) -> WireError {
     }
 }
 
-/// Encodes one value as a frame: 4-byte big-endian length + JSON bytes.
-pub fn encode_frame<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
-    let body = serde_json::to_string(value).map_err(|e| WireError::Malformed(e.to_string()))?;
-    let body = body.into_bytes();
-    if body.len() > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(body.len()));
+fn malformed(e: serde_json::Error) -> WireError {
+    WireError::Malformed(e.to_string())
+}
+
+/// Encodes one value as a frame: 4-byte big-endian length + JSON bytes,
+/// written into a single buffer.
+pub fn encode_frame<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, WireError> {
+    let mut frame = Vec::with_capacity(256);
+    frame.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(&mut frame, value).map_err(malformed)?;
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized(len));
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(frame)
 }
 
-/// Writes one frame to a stream.
-pub fn write_frame<T: Serialize, W: Write>(writer: &mut W, value: &T) -> Result<(), WireError> {
-    let frame = encode_frame(value)?;
-    writer.write_all(&frame).map_err(io_error)?;
+/// A borrowed [`WireRequest::Schedule`] or [`WireRequest::Forward`]:
+/// serializes exactly as the owned variant does.
+///
+/// [`WireRequest::Schedule`]: crate::WireRequest::Schedule
+/// [`WireRequest::Forward`]: crate::WireRequest::Forward
+enum RequestRef<'a> {
+    Schedule(&'a ScheduleRequest),
+    Forward { request: &'a ScheduleRequest, hops: u8 },
+}
+
+impl Serialize for RequestRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        // Variant indices follow `WireRequest`'s declaration order.
+        match *self {
+            RequestRef::Schedule(request) => {
+                serializer.serialize_newtype_variant("WireRequest", 1, "Schedule", request)
+            }
+            RequestRef::Forward { request, hops } => {
+                let mut st = serializer.serialize_struct_variant("WireRequest", 2, "Forward", 2)?;
+                st.serialize_field("request", request)?;
+                st.serialize_field("hops", &hops)?;
+                st.end()
+            }
+        }
+    }
+}
+
+/// Frames `WireRequest::Schedule(request)` without cloning `request`.
+pub fn encode_schedule(request: &ScheduleRequest) -> Result<Vec<u8>, WireError> {
+    encode_frame(&RequestRef::Schedule(request))
+}
+
+/// Frames `WireRequest::Forward { request, hops }` without cloning
+/// `request`.
+pub fn encode_forward(request: &ScheduleRequest, hops: u8) -> Result<Vec<u8>, WireError> {
+    encode_frame(&RequestRef::Forward { request, hops })
+}
+
+/// Writes one already-encoded frame to a stream.
+pub fn write_encoded<W: Write>(writer: &mut W, frame: &[u8]) -> Result<(), WireError> {
+    writer.write_all(frame).map_err(io_error)?;
     writer.flush().map_err(io_error)
+}
+
+/// Encodes and writes one frame to a stream.
+pub fn write_frame<T: Serialize + ?Sized, W: Write>(
+    writer: &mut W,
+    value: &T,
+) -> Result<(), WireError> {
+    write_encoded(writer, &encode_frame(value)?)
 }
 
 /// Reads one frame from a stream. A short read is [`WireError::Truncated`],
 /// an absurd length prefix is [`WireError::Oversized`], and a payload
-/// that is not UTF-8 JSON of the expected shape is
-/// [`WireError::Malformed`].
+/// that is not UTF-8 JSON of the expected shape — or breaks the depth
+/// or duplicate-key rule — is [`WireError::Malformed`].
 pub fn read_frame<T: for<'de> Deserialize<'de>, R: Read>(reader: &mut R) -> Result<T, WireError> {
     let mut len_buf = [0u8; 4];
     reader.read_exact(&mut len_buf).map_err(io_error)?;
@@ -98,12 +178,10 @@ pub fn read_frame<T: for<'de> Deserialize<'de>, R: Read>(reader: &mut R) -> Resu
     }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).map_err(io_error)?;
-    let text = std::str::from_utf8(&body)
-        .map_err(|e| WireError::Malformed(format!("not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
+    serde_json::from_slice(&body).map_err(malformed)
 }
 
-/// Decodes one frame from a byte slice (convenience for tests/fuzzing).
+/// Decodes one frame from a byte slice.
 pub fn decode_frame<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, WireError> {
     let mut cursor = bytes;
     read_frame(&mut cursor)
@@ -151,5 +229,31 @@ mod tests {
             decode_frame::<WireRequest>(&frame),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn borrowed_requests_frame_like_the_owned_variants() {
+        use crate::authz::ScheduledAction;
+        use hetsec_graphs::Value;
+        use hetsec_middleware::component::ComponentRef;
+        use hetsec_middleware::naming::MiddlewareKind;
+        let request = ScheduleRequest {
+            op_id: 3,
+            action: ScheduledAction::new(
+                ComponentRef::new(MiddlewareKind::Ejb, "Dom", "Calc", "add"),
+                "Dom",
+                "Worker",
+            ),
+            user: "worker".into(),
+            principal: "Kworker".to_string(),
+            master_key: "Kmaster".to_string(),
+            credentials: vec![],
+            stamps: vec![],
+            args: vec![Value::Int(1), Value::Str("x".into())],
+        };
+        let owned = WireRequest::Schedule(Box::new(request.clone()));
+        assert_eq!(encode_schedule(&request).unwrap(), encode_frame(&owned).unwrap());
+        let owned = WireRequest::Forward { request: Box::new(request.clone()), hops: 2 };
+        assert_eq!(encode_forward(&request, 2).unwrap(), encode_frame(&owned).unwrap());
     }
 }

@@ -57,6 +57,12 @@ echo "$out" | grep -q "24/24 ok" \
 echo "$out" | grep -Eq "verdict stamps: issued [1-9][0-9]*, clients admitted [1-9][0-9]* \(rejected 0, stale 0\)" \
     || { echo "verify.sh: two-node stamp smoke issued/admitted no verdict stamps"; exit 1; }
 
+echo "== wire codec: golden frame corpus, mutation property, nesting cap =="
+timeout 120 cargo test -q --test wire_codec
+
+echo "== depth bombs against a live listener (connection dropped, server keeps serving) =="
+timeout 120 cargo test -q --test wire_codec -- live_listener_survives_depth_bombs
+
 echo "== verdict-stamp tests (tamper property, revocation, cross-node amortisation) =="
 timeout 120 cargo test -q --test verdict_stamps
 

@@ -5,8 +5,7 @@
 //! flips an edit causes.
 //!
 //! The random tests use the same deterministic splitmix64 harness as
-//! `tests/properties.rs` (the vendored `proptest` crate is an offline
-//! placeholder), so every failure reproduces from the seed.
+//! `tests/properties.rs`, so every failure reproduces from the seed.
 
 use hetsec_analyze::{
     analyze_with_directory, diff_verdicts, AnalysisOptions, IncrementalAnalyzer, StoreEdit,

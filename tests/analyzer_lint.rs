@@ -5,8 +5,7 @@
 //! property-style tests over random delegation DAGs.
 //!
 //! The random tests use the same deterministic splitmix64 harness as
-//! `tests/properties.rs` (the vendored `proptest` crate is an offline
-//! placeholder), so every failure reproduces from the seed.
+//! `tests/properties.rs`, so every failure reproduces from the seed.
 
 use hetsec_analyze::{analyze_text, analyze_with_directory, AnalysisOptions, LintCode};
 use hetsec_keynote::compiled::{query_compiled, CompiledStore};

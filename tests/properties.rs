@@ -1,8 +1,7 @@
 //! Property-based tests over the framework's core invariants.
 //!
-//! Written against a small deterministic generator harness instead of
-//! proptest (the build environment cannot reach a crates registry).
-//! Each test drives a fixed number of pseudo-random cases from a seeded
+//! Written against a small deterministic generator harness. Each test
+//! drives a fixed number of pseudo-random cases from a seeded
 //! splitmix64 stream, so failures are reproducible; the failing case is
 //! reported through the assertion message.
 

@@ -8,11 +8,12 @@ use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_rbac::User;
 use hetsec_webcom::wire::{read_frame, write_frame};
 use hetsec_webcom::{
-    principal_key, serve_tcp_with, synthetic_stack, ArithComponentExecutor, BurstOp, ClientConfig,
-    ClientEngine, ClientTransport, ComponentExecutor, ExecError, ExecOutcome, LocalPeerLink,
-    MuxTransport, PeerLink, ScheduleReply, ScheduleRequest, ScheduledAction, ServeOptions,
-    ShardInfo, ShardRing, ShardRouter, TcpClientServer, TransportError, TrustManager,
-    WebComMaster, WireRequest, WireResponse, MAX_FORWARD_HOPS,
+    principal_key, serve_master, serve_tcp_with, synthetic_stack, ArithComponentExecutor, BurstOp,
+    ClientConfig, ClientEngine, ClientTransport, ComponentExecutor, ExecError, ExecOutcome,
+    LocalPeerLink, MuxTransport, PeerLink, ScheduleReply, ScheduleRequest, ScheduledAction,
+    ServeOptions, ShardInfo, ShardRing, ShardRouter, SleepingExecutor, TcpClientServer,
+    TcpPeerLink, TransportError, TrustManager, WebComMaster, WireRequest, WireResponse,
+    MAX_FORWARD_HOPS,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -316,8 +317,8 @@ fn tagging_fabric(shards: usize) -> (ShardRouter, ShardLog, Vec<hetsec_webcom::C
     (ShardRouter::local(masters), log, handles)
 }
 
-/// Property test (deterministic seeded cases, like `tests/properties.rs`
-/// — the vendored proptest is a placeholder): driving every op through
+/// Property test (deterministic seeded cases, like `tests/properties.rs`):
+/// driving every op through
 /// shard 0's master, regardless of which shard owns its principal, must
 /// land each op on its home shard exactly once via peer forwarding.
 #[test]
@@ -482,4 +483,88 @@ fn mux_keeps_the_window_full_under_load() {
         "mux should overlap service time, took {elapsed:?}"
     );
     server.stop();
+}
+
+/// Two masters in separate TCP roles — each with its own pipelined mux
+/// client and a peer listener — with callers on both. Forwards run in
+/// both directions, so each owner's mux pending table holds its own
+/// ops and the peer's forwarded ops at once; they keep their origin's
+/// op id, so the ids must never collide across the ring. Every op must
+/// come back `Ok(i + 1)`; none may be lost or handed to another caller.
+#[test]
+fn callers_on_both_masters_never_collide_on_op_ids() {
+    const SHARDS: usize = 2;
+    const CALLERS_PER_MASTER: usize = 3;
+    const OPS_PER_CALLER: i64 = 60;
+    let mut servers = Vec::new();
+    let mut masters = Vec::new();
+    for s in 0..SHARDS {
+        let engine = Arc::new(ClientEngine::new(ClientConfig {
+            name: format!("c{s}"),
+            key_text: format!("Kc{s}"),
+            master_trust: trust(&["Km0", "Km1"]),
+            stack: synthetic_stack(64),
+            executor: Arc::new(SleepingExecutor::new(Duration::from_millis(2))),
+        }));
+        let server = serve_tcp_with(
+            engine,
+            vec!["Dom".into()],
+            "127.0.0.1:0",
+            ServeOptions { pipeline: 8 },
+        )
+        .expect("serve shard client");
+        let master = WebComMaster::new(format!("Km{s}"), trust(&["Kc0", "Kc1"]))
+            .with_op_timeout(Duration::from_secs(10));
+        let transport: Arc<dyn ClientTransport> = Arc::new(MuxTransport::new(server.local_addr()));
+        master.register_transport(format!("c{s}"), format!("Kc{s}"), transport, vec!["Dom".into()]);
+        servers.push(server);
+        masters.push(Arc::new(master));
+    }
+    let peer_servers: Vec<_> = masters
+        .iter()
+        .map(|m| serve_master(Arc::clone(m), "127.0.0.1:0").expect("serve peer port"))
+        .collect();
+    let ring = Arc::new(ShardRing::new(SHARDS));
+    for (s, m) in masters.iter().enumerate() {
+        let peer = 1 - s;
+        let link: Arc<dyn PeerLink> = Arc::new(TcpPeerLink::new(peer_servers[peer].local_addr()));
+        m.set_shard(Arc::new(ShardInfo {
+            ring: Arc::clone(&ring),
+            shard_id: s,
+            peers: HashMap::from([(peer, link)]),
+        }));
+    }
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..SHARDS * CALLERS_PER_MASTER)
+            .map(|c| {
+                let master = Arc::clone(&masters[c % SHARDS]);
+                scope.spawn(move || {
+                    let mut failures = Vec::new();
+                    for k in 0..OPS_PER_CALLER {
+                        let i = c as i64 * 1000 + k;
+                        let principal = principal_key((i % 64) as usize);
+                        let outcome =
+                            master.schedule_burst(vec![op(principal, vec![i, 1])]).remove(0);
+                        if outcome != ExecOutcome::Ok(Value::Int(i + 1)) {
+                            failures.push(format!("caller {c} op {i}: {outcome:?}"));
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        callers.into_iter().flat_map(|h| h.join().expect("caller thread")).collect()
+    });
+    assert!(failures.is_empty(), "{} ops failed: {:#?}", failures.len(), failures);
+    let forwards: Vec<usize> = peer_servers.iter().map(|p| p.forwards()).collect();
+    assert!(
+        forwards.iter().all(|&f| f > 0),
+        "forwards must run in both directions: {forwards:?}"
+    );
+    for p in peer_servers {
+        p.stop();
+    }
+    for s in servers {
+        s.stop();
+    }
 }
