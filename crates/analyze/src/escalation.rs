@@ -25,7 +25,6 @@ use hetsec_keynote::eval::ActionAttributes;
 use hetsec_keynote::values::ComplianceValues;
 use hetsec_rbac::{Domain, ObjectType, Permission, RbacPolicy, Role, User};
 use hetsec_translate::{decode_policy, PrincipalDirectory, APP_DOMAIN};
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub(crate) type Tuple = (String, String, String, String);
@@ -252,15 +251,13 @@ pub fn analyze_escalation(
     let users = user_universe(assertions, store, rbac, webcom_key, directory);
     let tuples = tuple_universe(assertions, rbac);
 
-    // The user × tuple probe matrix is embarrassingly parallel across
-    // users, so fan the outer loop out with rayon. Per-user results
-    // come back in `users` (BTreeSet) order — `map().collect()`
-    // preserves input order under rayon's work-stealing — so findings
-    // are deterministic regardless of how the sweep is scheduled.
+    // Probe the user × tuple matrix one user at a time. Per-user
+    // results come back in `users` (BTreeSet) order, so findings are
+    // deterministic.
     let values = ComplianceValues::binary();
     let users_list: Vec<&User> = users.iter().collect();
     let per_user: Vec<(Vec<String>, Vec<String>)> = users_list
-        .par_iter()
+        .iter()
         .map(|user| probe_user(store, rbac, directory, revoked, &values, &tuples, user))
         .collect();
 

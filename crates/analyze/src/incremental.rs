@@ -34,7 +34,6 @@ use hetsec_keynote::compiled::CompiledStore;
 use hetsec_keynote::values::ComplianceValues;
 use hetsec_rbac::{RbacPolicy, User};
 use hetsec_translate::PrincipalDirectory;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -279,7 +278,7 @@ impl IncrementalAnalyzer {
             let store = &self.store;
             let revoked = &self.opts.revoked;
             let probed: Vec<(Vec<String>, Vec<String>)> = dirty
-                .par_iter()
+                .iter()
                 .map(|user| {
                     escalation::probe_user(store, rbac, directory, revoked, &values, &tuples, user)
                 })

@@ -3,8 +3,10 @@
 //!
 //! Measures Policy Comprehension (§4.2): encoding `HasPermission` tables
 //! into the Figure 5 policy assertion and `UserRole` rows into Figure 6
-//! credentials, serial vs rayon-parallel batches, plus the inverse
-//! (Policy Configuration, §4.1) decode.
+//! credentials, serial vs the batch helpers, plus the inverse (Policy
+//! Configuration, §4.1) decode. The batch helpers run sequentially; their
+//! two series keep their historical names so committed series still
+//! compare.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hetsec_rbac::fixtures::{salaries_policy, synthetic_policy};

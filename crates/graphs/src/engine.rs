@@ -1,20 +1,22 @@
 //! The condensed-graph evaluation engine.
 //!
 //! Evaluation is availability-driven: a template's nodes are grouped into
-//! topological waves ([`crate::graph::GraphTemplate::levels`]) and each
-//! wave fires in parallel with rayon. Condensed nodes and `IfEl`
-//! branches evaluate their subgraphs recursively on the worker that fired
-//! them (rayon's work-stealing keeps the pool busy), which is the
-//! coercion-driven part of the model.
+//! topological waves ([`crate::graph::GraphTemplate::levels`]). Within a
+//! wave, constants, condensed nodes and `IfEl` branches evaluate inline
+//! (condensed nodes and branches recurse into their subgraphs, which is
+//! the coercion-driven part of the model), and every primitive of the
+//! wave is handed to the [`OpExecutor`] as one batch
+//! ([`OpExecutor::execute_wave`]). An executor that can fire a batch
+//! concurrently — Secure WebCom's master pipelines it down the mux to
+//! its clients — makes the wave cost one round trip instead of one per
+//! node.
 //!
 //! Primitives are resolved by an [`OpExecutor`] — the seam where Secure
 //! WebCom plugs in middleware component invocation with authorisation.
 
 use crate::graph::{GraphTemplate, NodeId, Operator, Source};
 use crate::value::Value;
-use rayon::prelude::*;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Engine errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,11 +64,22 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Executes named primitives. Implementations must be `Sync`: waves fire
-/// in parallel.
-pub trait OpExecutor: Sync {
+/// Executes named primitives.
+pub trait OpExecutor {
     /// Runs `op` on `args`.
     fn execute(&self, op: &str, args: &[Value]) -> Result<Value, EngineError>;
+
+    /// Runs one wave's primitives, which are independent of each other;
+    /// results are positionally aligned with `calls`. The default runs
+    /// them one after another through [`execute`](Self::execute) —
+    /// [`ArithExecutor`] keeps it, evaluating locally and sequentially.
+    /// Override it to fire the wave concurrently.
+    fn execute_wave(&self, calls: &[(&str, Vec<Value>)]) -> Vec<Result<Value, EngineError>> {
+        calls
+            .iter()
+            .map(|(op, args)| self.execute(op, args))
+            .collect()
+    }
 }
 
 /// The built-in arithmetic/logic executor used by tests, examples and
@@ -145,7 +158,9 @@ impl<'a, E: OpExecutor> Engine<'a, E> {
         Engine { executor }
     }
 
-    /// Evaluates `template` with `params`, in parallel waves.
+    /// Evaluates `template` with `params`, wave by wave, handing each
+    /// wave's primitives to the executor as one batch. When nodes of a
+    /// wave fail, the error of the lowest node id is returned.
     ///
     /// # Panics
     /// Panics if `params.len() != template.arity` — callers validate
@@ -158,44 +173,61 @@ impl<'a, E: OpExecutor> Engine<'a, E> {
             template.name,
             template.arity
         );
-        let results: Vec<Mutex<Option<Value>>> =
-            (0..template.nodes.len()).map(|_| Mutex::new(None)).collect();
-        let read = |s: &Source, results: &[Mutex<Option<Value>>]| -> Value {
+        let mut results: Vec<Option<Value>> = vec![None; template.nodes.len()];
+        let read = |s: &Source, results: &[Option<Value>]| -> Value {
             match *s {
                 Source::Param(p) => params[p].clone(),
                 Source::Node(n) => results[n]
-                    .lock()
-                    .expect("poisoned")
                     .clone()
                     .expect("wave ordering guarantees availability"),
             }
         };
         for wave in template.levels() {
-            let wave_results: Result<Vec<(NodeId, Value)>, EngineError> = wave
-                .par_iter()
-                .map(|&i| {
-                    let node = &template.nodes[i];
-                    let args: Vec<Value> = node.inputs.iter().map(|s| read(s, &results)).collect();
-                    let value = match &node.operator {
-                        Operator::Const(v) => v.clone(),
-                        Operator::Primitive(op) => self.executor.execute(op, &args)?,
-                        Operator::Condensed(sub) => self.evaluate(sub, &args)?,
-                        Operator::IfEl { then_branch, else_branch } => {
-                            let cond = args[0].as_bool().ok_or_else(|| {
-                                EngineError::NonBooleanCondition {
-                                    node: i,
-                                    got: args[0].to_string(),
-                                }
-                            })?;
+            let mut outcomes: Vec<(NodeId, Result<Value, EngineError>)> =
+                Vec::with_capacity(wave.len());
+            let mut calls: Vec<(&str, Vec<Value>)> = Vec::new();
+            let mut callers: Vec<NodeId> = Vec::new();
+            for &i in &wave {
+                let node = &template.nodes[i];
+                let args: Vec<Value> = node.inputs.iter().map(|s| read(s, &results)).collect();
+                let value = match &node.operator {
+                    Operator::Const(v) => Ok(v.clone()),
+                    Operator::Primitive(op) => {
+                        calls.push((op, args));
+                        callers.push(i);
+                        continue;
+                    }
+                    Operator::Condensed(sub) => self.evaluate(sub, &args),
+                    Operator::IfEl {
+                        then_branch,
+                        else_branch,
+                    } => match args[0].as_bool() {
+                        Some(cond) => {
                             let branch = if cond { then_branch } else { else_branch };
-                            self.evaluate(branch, &args[1..])?
+                            self.evaluate(branch, &args[1..])
                         }
-                    };
-                    Ok((i, value))
-                })
-                .collect();
-            for (i, v) in wave_results? {
-                *results[i].lock().expect("poisoned") = Some(v);
+                        None => Err(EngineError::NonBooleanCondition {
+                            node: i,
+                            got: args[0].to_string(),
+                        }),
+                    },
+                };
+                outcomes.push((i, value));
+            }
+            if !calls.is_empty() {
+                let fired = self.executor.execute_wave(&calls);
+                assert_eq!(
+                    fired.len(),
+                    calls.len(),
+                    "execute_wave must answer every call"
+                );
+                outcomes.extend(callers.into_iter().zip(fired));
+            }
+            // In node-id order, so the error returned is the lowest
+            // node's.
+            outcomes.sort_by_key(|&(i, _)| i);
+            for (i, value) in outcomes {
+                results[i] = Some(value?);
             }
         }
         Ok(read(&template.output, &results))
@@ -411,6 +443,139 @@ mod tests {
             evaluate_arith(&inner, &[Value::Int(0)]).unwrap(),
             Value::Int(32)
         );
+    }
+
+    /// Records the primitive names of every `execute_wave` call.
+    #[derive(Default)]
+    struct Recording {
+        waves: std::sync::Mutex<Vec<Vec<String>>>,
+    }
+
+    impl OpExecutor for Recording {
+        fn execute(&self, op: &str, args: &[Value]) -> Result<Value, EngineError> {
+            ArithExecutor.execute(op, args)
+        }
+
+        fn execute_wave(&self, calls: &[(&str, Vec<Value>)]) -> Vec<Result<Value, EngineError>> {
+            let names = calls.iter().map(|(op, _)| op.to_string()).collect();
+            self.waves.lock().unwrap().push(names);
+            calls
+                .iter()
+                .map(|(op, args)| self.execute(op, args))
+                .collect()
+        }
+    }
+
+    impl Recording {
+        fn wave_sizes(&self) -> Vec<usize> {
+            self.waves.lock().unwrap().iter().map(Vec::len).collect()
+        }
+    }
+
+    #[test]
+    fn fanout_fires_each_wave_as_one_batch() {
+        // 32 leaves `add(p, c_i)` reduced pairwise: 63 primitives.
+        let mut b = GraphBuilder::new("fanout", 1);
+        let mut level: Vec<NodeId> = (0..32)
+            .map(|i| {
+                let c = b.constant(&format!("c{i}"), i as i64);
+                b.primitive(
+                    &format!("leaf{i}"),
+                    "add",
+                    vec![Source::Param(0), Source::Node(c)],
+                )
+            })
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .enumerate()
+                .map(|(j, pair)| {
+                    let inputs = pair.iter().map(|&n| Source::Node(n)).collect();
+                    b.primitive(&format!("sum{}_{j}", level.len()), "add", inputs)
+                })
+                .collect();
+        }
+        let t = b.output(Source::Node(level[0])).unwrap();
+        let exec = Recording::default();
+        let expected: i64 = (0..32).map(|i| 5 + i).sum();
+        assert_eq!(
+            Engine::new(&exec).evaluate(&t, &[Value::Int(5)]).unwrap(),
+            Value::Int(expected)
+        );
+        // The constants' wave fires nothing; each later wave is one call.
+        assert_eq!(exec.wave_sizes(), vec![32, 16, 8, 4, 2, 1]);
+    }
+
+    #[test]
+    fn ifel_in_a_batched_wave_fires_only_the_taken_branch() {
+        let then_b = Arc::new({
+            let mut b = GraphBuilder::new("then", 1);
+            let one = b.constant("one", 1i64);
+            let n = b.primitive("inc", "add", vec![Source::Param(0), Source::Node(one)]);
+            b.output(Source::Node(n)).unwrap()
+        });
+        let else_b = Arc::new({
+            let mut b = GraphBuilder::new("else", 1);
+            let n = b.primitive("boom", "boom", vec![Source::Param(0)]);
+            b.output(Source::Node(n)).unwrap()
+        });
+        // One wave: two primitives around the IfEl node, whose
+        // condition is the third parameter.
+        let mut b = GraphBuilder::new("outer", 3);
+        let left = b.primitive("left", "add", vec![Source::Param(0), Source::Param(1)]);
+        let choice = b.if_el(
+            "choose",
+            then_b,
+            else_b,
+            vec![Source::Param(2), Source::Param(0)],
+        );
+        let right = b.primitive("right", "mul", vec![Source::Param(0), Source::Param(1)]);
+        let l = b.primitive(
+            "l",
+            "list",
+            vec![left, choice, right]
+                .into_iter()
+                .map(Source::Node)
+                .collect(),
+        );
+        let t = b.output(Source::Node(l)).unwrap();
+        let exec = Recording::default();
+        assert_eq!(
+            Engine::new(&exec)
+                .evaluate(&t, &[Value::Int(3), Value::Int(4), Value::Bool(true)])
+                .unwrap(),
+            Value::List(vec![Value::Int(7), Value::Int(4), Value::Int(12)])
+        );
+        let waves = exec.waves.lock().unwrap().clone();
+        // The taken branch's own wave, then the outer wave's batch.
+        assert_eq!(
+            waves[..2],
+            [vec!["add".to_string()], vec!["add".into(), "mul".into()]]
+        );
+        assert!(waves.iter().flatten().all(|op| op != "boom"), "{waves:?}");
+    }
+
+    #[test]
+    fn failing_wave_reports_the_lowest_node() {
+        let failing_sub = Arc::new({
+            let mut b = GraphBuilder::new("sub", 0);
+            let n = b.primitive("sub", "sub-missing", vec![]);
+            b.output(Source::Node(n)).unwrap()
+        });
+        // One wave: two failing primitives and a failing condensed node.
+        let mut b = GraphBuilder::new("bad", 1);
+        let low = b.primitive("low", "missing", vec![]);
+        b.primitive("high", "add", vec![Source::Param(0), Source::Param(0)]);
+        b.condensed("call", failing_sub, vec![]);
+        let t = b.output(Source::Node(low)).unwrap();
+        let exec = Recording::default();
+        let err = Engine::new(&exec)
+            .evaluate(&t, &[Value::Str("x".into())])
+            .unwrap_err();
+        assert_eq!(err, EngineError::UnknownPrimitive("missing".into()));
+        // Both primitives still went out in the wave's batch.
+        assert!(exec.wave_sizes().contains(&2), "{:?}", exec.wave_sizes());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`value`] — values carried on arcs;
 //! * [`graph`] — templates, validation (reference/arity/cycle checks),
 //!   topological waves, the fluent [`graph::GraphBuilder`];
-//! * [`engine`] — the parallel (rayon) wave evaluator and the
+//! * [`engine`] — the wave evaluator, which hands each wave's
+//!   primitives to the executor as one batch, and the
 //!   [`engine::OpExecutor`] seam through which Secure WebCom injects
 //!   middleware invocation with authorisation.
 

@@ -1,8 +1,10 @@
-//! Batch/parallel translation helpers and real-key signing.
+//! Batch translation helpers and real-key signing.
 //!
 //! Large deployments translate many middleware policies at once (the
-//! Figure 9 scenario has one per system); encoding and decoding are
-//! embarrassingly parallel over policies, so the sweeps use rayon.
+//! Figure 9 scenario has one per system). The sweeps run one policy
+//! after another; the `_par` names are kept for existing callers and
+//! bench series, since the policies are independent and a sweep could
+//! fan out unchanged.
 
 use crate::comprehension::encode_policy;
 use crate::configuration::{decode_policy, DecodeReport};
@@ -12,28 +14,27 @@ use hetsec_keynote::ast::{Assertion, Principal};
 use hetsec_keynote::signing::sign_assertion;
 use hetsec_crypto::PublicKey;
 use hetsec_rbac::RbacPolicy;
-use rayon::prelude::*;
 
-/// Encodes many policies in parallel.
+/// Encodes many policies, in input order.
 pub fn encode_policies_par(
     policies: &[RbacPolicy],
     webcom_key: &str,
     directory: &dyn PrincipalDirectory,
 ) -> Vec<Vec<Assertion>> {
     policies
-        .par_iter()
+        .iter()
         .map(|p| encode_policy(p, webcom_key, directory))
         .collect()
 }
 
-/// Decodes many assertion sets in parallel.
+/// Decodes many assertion sets, in input order.
 pub fn decode_policies_par(
     assertion_sets: &[Vec<Assertion>],
     webcom_key: &str,
     directory: &dyn PrincipalDirectory,
 ) -> Vec<DecodeReport> {
     assertion_sets
-        .par_iter()
+        .iter()
         .map(|a| decode_policy(a, webcom_key, directory))
         .collect()
 }

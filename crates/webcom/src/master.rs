@@ -21,17 +21,23 @@
 //! instead of queueing. Each `schedule` call is additionally bounded by
 //! a whole-operation deadline so one operation can never block for
 //! `targets × max_attempts × op_timeout`.
+//!
+//! A condensed graph's wave of independent primitives goes through
+//! [`WebComMaster::schedule_wave`]: each client's share of the wave's
+//! first attempts is sent as one batch, and only what the batch does not
+//! settle walks the per-op loop, still inside the deadline measured from
+//! the wave's start.
 
 use crate::authz::{AuthzRequest, ScheduledAction, TrustManager};
 use crate::client::ClientHandle;
 use crate::fabric::ShardInfo;
-use crate::health::{ClientHealth, HealthConfig, HealthSnapshot, Refusal};
+use crate::health::{CallPermit, ClientHealth, HealthConfig, HealthSnapshot, Refusal};
 use crate::histogram::{LatencyHistogram, LatencySnapshot};
 use crate::stamp::{StampIssuer, StampVerifier};
 use crate::protocol::{
     ExecError, ExecErrorKind, ExecOutcome, ScheduleReply, ScheduleRequest, MAX_FORWARD_HOPS,
 };
-use crate::transport::{ChannelTransport, ClientTransport, TcpTransport};
+use crate::transport::{ChannelTransport, ClientTransport, TcpTransport, TransportError};
 use hetsec_graphs::{EngineError, OpExecutor, Value};
 use hetsec_keynote::ast::Assertion;
 use hetsec_middleware::component::ComponentRef;
@@ -61,9 +67,28 @@ struct Target {
     health: Arc<ClientHealth>,
 }
 
-/// A routed burst op awaiting dispatch: original position, wire op id,
-/// the op, its home shard (if off-shard), and the authorised targets.
-type IndexedJob = (usize, u64, BurstOp, Option<usize>, Vec<Target>);
+/// Health-sorts dispatch targets, healthiest first; the sort is stable,
+/// so untouched clients keep registration order.
+fn health_ordered(targets: Vec<Target>) -> Vec<Target> {
+    let mut keyed: Vec<((u8, f64, f64), Target)> =
+        targets.into_iter().map(|t| (t.health.rank(), t)).collect();
+    keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    keyed.into_iter().map(|(_, t)| t).collect()
+}
+
+/// A routed op awaiting dispatch: its wire op id, the op, its home
+/// shard (`Some` when a peer's shard owns the principal), and the
+/// authorised local targets.
+struct RoutedOp {
+    op_id: u64,
+    op: BurstOp,
+    home: Option<usize>,
+    targets: Vec<Target>,
+}
+
+/// A wave op whose first attempt did not settle it, with what the
+/// per-op loop needs to carry on.
+type Unsettled = (ScheduleRequest, Vec<Target>);
 
 /// Panic-safe increment/decrement of the in-flight gauge.
 struct GaugeGuard<'a>(&'a AtomicUsize);
@@ -567,69 +592,12 @@ impl WebComMaster {
         if ops.is_empty() {
             return Vec::new();
         }
-        let shard = self.shard.read().clone();
-        // Route each op: `Some(home)` means the principal hashes to a
-        // peer's shard and the op is forwarded there — the owner
-        // authorises against its own policy and cache, so forwarded ops
-        // are excluded from the local authorisation matrix entirely
-        // (share-nothing hot path).
-        let route: Vec<Option<usize>> = ops
-            .iter()
-            .map(|op| {
-                shard.as_ref().and_then(|s| {
-                    let home = s.ring.owner_of(&op.principal);
-                    (home != s.shard_id).then_some(home)
-                })
-            })
-            .collect();
-        let per_op_targets: Vec<Vec<Target>> = {
-            let clients = self.clients.read();
-            // One attribute set per op, lent to every client's request:
-            // requests for the same op share the set by address, so the
-            // trust manager hashes one fingerprint per op and collapses
-            // op-coincident evaluations into one fixpoint pass.
-            let attr_sets: Vec<_> = ops.iter().map(|op| op.action.attributes()).collect();
-            let mut requests: Vec<AuthzRequest<'_>> = Vec::new();
-            let mut slots: Vec<(usize, usize)> = Vec::new();
-            for (oi, op) in ops.iter().enumerate() {
-                if route[oi].is_some() {
-                    continue;
-                }
-                for (ci, c) in clients.iter().enumerate() {
-                    if c.domains.contains(&op.action.domain) {
-                        requests.push(
-                            AuthzRequest::principal(&c.key_text).attributes_ref(&attr_sets[oi]),
-                        );
-                        slots.push((oi, ci));
-                    }
-                }
-            }
-            let verdicts = self.client_trust.decide_batch(&requests);
-            let mut targets: Vec<Vec<Target>> = ops.iter().map(|_| Vec::new()).collect();
-            for ((oi, ci), authorised) in slots.into_iter().zip(verdicts) {
-                if authorised {
-                    let c = &clients[ci];
-                    targets[oi].push(Target {
-                        transport: Arc::clone(&c.transport),
-                        health: Arc::clone(&c.health),
-                    });
-                }
-            }
-            targets
-        };
-        let jobs: Vec<(u64, BurstOp, Option<usize>, Vec<Target>)> = ops
-            .into_iter()
-            .zip(route)
-            .zip(per_op_targets)
-            .map(|((op, home), targets)| (self.next_op_id(shard.as_deref()), op, home, targets))
-            .collect();
+        let (shard, jobs) = self.route(ops);
         let par = self.burst_parallelism.min(jobs.len()).max(1);
         if par == 1 {
             return jobs
                 .into_iter()
-                .map(|(op_id, op, home, targets)| {
-                    self.run_op(shard.as_deref(), op_id, op, home, targets)
-                })
+                .map(|job| self.run_op(shard.as_deref(), job, Instant::now()))
                 .collect();
         }
         // Round-robin the jobs over `par` scoped workers and reassemble
@@ -637,9 +605,9 @@ impl WebComMaster {
         // `par` dispatches are in flight at once (a pipelined transport
         // turns that into many requests down one socket).
         let total = jobs.len();
-        let mut worker_jobs: Vec<Vec<IndexedJob>> = (0..par).map(|_| Vec::new()).collect();
-        for (i, (op_id, op, home, targets)) in jobs.into_iter().enumerate() {
-            worker_jobs[i % par].push((i, op_id, op, home, targets));
+        let mut worker_jobs: Vec<Vec<(usize, RoutedOp)>> = (0..par).map(|_| Vec::new()).collect();
+        for (i, job) in jobs.into_iter().enumerate() {
+            worker_jobs[i % par].push((i, job));
         }
         let mut outcomes: Vec<Option<ExecOutcome>> = (0..total).map(|_| None).collect();
         std::thread::scope(|s| {
@@ -649,9 +617,7 @@ impl WebComMaster {
                 .map(|jobs| {
                     s.spawn(move || {
                         jobs.into_iter()
-                            .map(|(i, op_id, op, home, targets)| {
-                                (i, self.run_op(shard.as_deref(), op_id, op, home, targets))
-                            })
+                            .map(|(i, job)| (i, self.run_op(shard.as_deref(), job, Instant::now())))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -668,26 +634,183 @@ impl WebComMaster {
             .collect()
     }
 
-    /// Runs one routed burst op: forwards it to its home shard or
-    /// dispatches it locally.
-    fn run_op(
+    /// Schedules a wave of independent operations, putting each
+    /// client's share of first attempts on the wire as one batch
+    /// ([`ClientTransport::call_batch`]): over a pipelined transport a
+    /// wave costs about one round trip instead of one per op. Routing
+    /// and authorisation are the single matrix of
+    /// [`schedule_burst`](Self::schedule_burst). Each batched op takes
+    /// its own health permit and in-flight gauge, and its reply is
+    /// accounted exactly as a dispatch-loop attempt. Every op the batch
+    /// does not settle — forwarded ops, ops a client's quota or breaker
+    /// refuses, retryable failures and timeouts — falls through to the
+    /// per-op retry/failover loop, whose whole-operation deadline still
+    /// runs from the wave's start (the executed-op memo makes re-asking
+    /// the same client safe). A failed batched attempt counts in the
+    /// client's health and in `timeouts`; the retries, failovers and
+    /// reschedules that follow it are the per-op loop's own. A wave of
+    /// one op takes exactly the `schedule_burst` path. Outcomes are
+    /// positionally aligned with `ops`.
+    pub fn schedule_wave(&self, ops: Vec<BurstOp>) -> Vec<ExecOutcome> {
+        if ops.len() <= 1 {
+            return self.schedule_burst(ops);
+        }
+        let started = Instant::now();
+        let (shard, jobs) = self.route(ops);
+        let mut outcomes: Vec<Option<ExecOutcome>> = jobs.iter().map(|_| None).collect();
+        // Local ops go out grouped by their healthiest target; the rest
+        // wait for the per-op loop.
+        let mut groups: Vec<Vec<(usize, ScheduleRequest, Vec<Target>)>> = Vec::new();
+        let mut leftovers: Vec<(usize, RoutedOp)> = Vec::new();
+        for (i, job) in jobs.into_iter().enumerate() {
+            if job.home.is_some() || job.targets.is_empty() {
+                leftovers.push((i, job));
+                continue;
+            }
+            let targets = health_ordered(job.targets);
+            let request = self.build_request(job.op_id, job.op);
+            let first = &targets[0].health;
+            match groups
+                .iter_mut()
+                .find(|g| Arc::ptr_eq(&g[0].2[0].health, first))
+            {
+                Some(group) => group.push((i, request, targets)),
+                None => groups.push(vec![(i, request, targets)]),
+            }
+        }
+        // One batch per client, concurrently; the last runs inline.
+        let last = groups.pop();
+        let settled = std::thread::scope(|s| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|group| s.spawn(move || self.first_attempts(group, started)))
+                .collect();
+            let mut settled = last.map_or_else(Vec::new, |g| self.first_attempts(g, started));
+            for h in handles {
+                settled.extend(h.join().expect("wave batch panicked"));
+            }
+            settled
+        });
+        for (i, result) in settled {
+            outcomes[i] = Some(match result {
+                Ok(outcome) => outcome,
+                Err((request, targets)) => self.dispatch_to(&request, targets, started),
+            });
+        }
+        for (i, job) in leftovers {
+            outcomes[i] = Some(self.run_op(shard.as_deref(), job, started));
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every wave op produces an outcome"))
+            .collect()
+    }
+
+    /// One client's share of a wave: admits each op through the
+    /// client's health (its own permit and gauge), sends the admitted
+    /// ops as one batch, and settles each reply as a first attempt of
+    /// the dispatch loop. Ops refused admission or left unsettled come
+    /// back as `Err` for the per-op loop.
+    fn first_attempts(
         &self,
-        shard: Option<&ShardInfo>,
-        op_id: u64,
-        op: BurstOp,
-        home: Option<usize>,
-        targets: Vec<Target>,
-    ) -> ExecOutcome {
-        match (shard, home) {
-            (Some(info), Some(home)) => self.forward_op(info, home, op_id, op),
-            _ => self.schedule_on(op_id, op, targets),
+        group: Vec<(usize, ScheduleRequest, Vec<Target>)>,
+        started: Instant,
+    ) -> Vec<(usize, Result<ExecOutcome, Unsettled>)> {
+        let first = &group[0].2[0];
+        let (transport, health) = (Arc::clone(&first.transport), Arc::clone(&first.health));
+        let mut settled = Vec::with_capacity(group.len());
+        let mut admitted = Vec::with_capacity(group.len());
+        for (i, request, targets) in group {
+            match health.try_begin(false) {
+                Ok(permit) => {
+                    let gauge = GaugeGuard::new(&self.in_flight);
+                    admitted.push((i, request, targets, permit, gauge));
+                }
+                Err(Refusal::Open | Refusal::Saturated) => {
+                    settled.push((i, Err((request, targets))))
+                }
+            }
+        }
+        // Nothing admitted, or past the deadline (the per-op loop
+        // reports it).
+        let budget = remaining_budget(started, self.schedule_deadline());
+        let Some(budget) = budget.filter(|_| !admitted.is_empty()) else {
+            settled.extend(admitted.into_iter().map(|(i, r, t, ..)| (i, Err((r, t)))));
+            return settled;
+        };
+        let requests: Vec<&ScheduleRequest> = admitted.iter().map(|a| &a.1).collect();
+        let call_started = Instant::now();
+        let replies = transport.call_batch(&requests, budget.min(self.op_timeout));
+        for ((i, request, targets, mut permit, _gauge), reply) in admitted.into_iter().zip(replies)
+        {
+            let result = match self.settle(reply, &mut permit, call_started, false) {
+                Ok(outcome) => {
+                    self.dispatch_hist.record(started.elapsed());
+                    Ok(outcome)
+                }
+                Err(_) => Err((request, targets)),
+            };
+            settled.push((i, result));
+        }
+        settled
+    }
+
+    /// Routes and authorises a burst or wave, numbering its ops in
+    /// order. `home` is `Some` when the principal hashes to a peer's
+    /// shard: the owner authorises against its own policy and cache,
+    /// so forwarded ops are excluded from the local authorisation
+    /// matrix entirely (share-nothing hot path).
+    fn route(&self, ops: Vec<BurstOp>) -> (Option<Arc<ShardInfo>>, Vec<RoutedOp>) {
+        let shard = self.shard.read().clone();
+        let route: Vec<Option<usize>> = ops
+            .iter()
+            .map(|op| {
+                shard.as_ref().and_then(|s| {
+                    let home = s.ring.owner_of(&op.principal);
+                    (home != s.shard_id).then_some(home)
+                })
+            })
+            .collect();
+        let actions: Vec<Option<&ScheduledAction>> = ops
+            .iter()
+            .zip(&route)
+            .map(|(op, home)| home.is_none().then_some(&op.action))
+            .collect();
+        let per_op_targets = self.authorise(&actions);
+        let jobs = ops
+            .into_iter()
+            .zip(route)
+            .zip(per_op_targets)
+            .map(|((op, home), targets)| RoutedOp {
+                op_id: self.next_op_id(shard.as_deref()),
+                op,
+                home,
+                targets,
+            })
+            .collect();
+        (shard, jobs)
+    }
+
+    /// Runs one routed op: forwards it to its home shard or dispatches
+    /// it locally, within the whole-operation deadline from `started`.
+    fn run_op(&self, shard: Option<&ShardInfo>, job: RoutedOp, started: Instant) -> ExecOutcome {
+        match (shard, job.home) {
+            (Some(info), Some(home)) => self.forward_op(info, home, job.op_id, job.op, started),
+            _ => self.schedule_on(job.op_id, job.op, job.targets, started),
         }
     }
 
     /// Hands an op to the peer master owning `home`. One forward
     /// attempt — the owner runs the full retry/failover loop among its
     /// own clients, so re-forwarding would only double the work.
-    fn forward_op(&self, info: &ShardInfo, home: usize, op_id: u64, op: BurstOp) -> ExecOutcome {
+    fn forward_op(
+        &self,
+        info: &ShardInfo,
+        home: usize,
+        op_id: u64,
+        op: BurstOp,
+        started: Instant,
+    ) -> ExecOutcome {
         let Some(peer) = info.peers.get(&home) else {
             self.stats.lock().unschedulable += 1;
             return ExecOutcome::Failed(ExecError::transport(format!(
@@ -696,8 +819,12 @@ impl WebComMaster {
             )));
         };
         let request = self.build_request(op_id, op);
+        let deadline = self.schedule_deadline();
+        let Some(budget) = remaining_budget(started, deadline) else {
+            return self.deadline_exceeded(&request, deadline, None);
+        };
         self.stats.lock().forwarded += 1;
-        match peer.forward(&request, 1, self.schedule_deadline()) {
+        match peer.forward(&request, 1, budget) {
             Ok(reply) => reply.outcome,
             Err(te) => ExecOutcome::Failed(te.to_exec_error()),
         }
@@ -760,7 +887,7 @@ impl WebComMaster {
             }
         }
         self.stats.lock().forward_received += 1;
-        let targets = self.authorised_targets(&request.action);
+        let targets = self.authorise(&[Some(&request.action)]).remove(0);
         let outcome = if targets.is_empty() {
             self.stats.lock().unschedulable += 1;
             ExecOutcome::Denied(format!(
@@ -769,7 +896,7 @@ impl WebComMaster {
                 request.action.domain
             ))
         } else {
-            self.dispatch_to(&request, targets)
+            self.dispatch_to(&request, targets, Instant::now())
         };
         ScheduleReply {
             op_id,
@@ -779,31 +906,46 @@ impl WebComMaster {
         }
     }
 
-    /// Clients that serve `action`'s domain and whose key the trust
-    /// policy authorises for it (one decide_batch over the registry).
-    fn authorised_targets(&self, action: &ScheduledAction) -> Vec<Target> {
+    /// Each action's authorised targets — the clients serving its
+    /// domain whose key the trust policy authorises for it — with every
+    /// (client × action) pair decided in one
+    /// [`TrustManager::decide_batch`]. A `None` action (a forwarded op)
+    /// gets none.
+    fn authorise(&self, actions: &[Option<&ScheduledAction>]) -> Vec<Vec<Target>> {
         let clients = self.clients.read();
-        let attrs = action.attributes();
+        // One attribute set per action, lent to every client's request:
+        // requests for the same action share the set by address, so the
+        // trust manager hashes one fingerprint per action and collapses
+        // action-coincident evaluations into one fixpoint pass.
+        let attr_sets: Vec<_> = actions
+            .iter()
+            .map(|a| a.map(ScheduledAction::attributes))
+            .collect();
         let mut requests: Vec<AuthzRequest<'_>> = Vec::new();
-        let mut idx: Vec<usize> = Vec::new();
-        for (ci, c) in clients.iter().enumerate() {
-            if c.domains.contains(&action.domain) {
-                requests.push(AuthzRequest::principal(&c.key_text).attributes_ref(&attrs));
-                idx.push(ci);
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for (ai, (action, attrs)) in actions.iter().zip(&attr_sets).enumerate() {
+            let (Some(action), Some(attrs)) = (action, attrs) else {
+                continue;
+            };
+            for (ci, c) in clients.iter().enumerate() {
+                if c.domains.contains(&action.domain) {
+                    requests.push(AuthzRequest::principal(&c.key_text).attributes_ref(attrs));
+                    slots.push((ai, ci));
+                }
             }
         }
         let verdicts = self.client_trust.decide_batch(&requests);
-        idx.into_iter()
-            .zip(verdicts)
-            .filter(|&(_, authorised)| authorised)
-            .map(|(ci, _)| {
+        let mut targets: Vec<Vec<Target>> = actions.iter().map(|_| Vec::new()).collect();
+        for ((ai, ci), authorised) in slots.into_iter().zip(verdicts) {
+            if authorised {
                 let c = &clients[ci];
-                Target {
+                targets[ai].push(Target {
                     transport: Arc::clone(&c.transport),
                     health: Arc::clone(&c.health),
-                }
-            })
-            .collect()
+                });
+            }
+        }
+        targets
     }
 
     /// Builds the wire request for one op, attaching verdict stamps
@@ -834,7 +976,13 @@ impl WebComMaster {
     /// Dispatches one already-authorised operation: health-ordered
     /// target selection, request construction, and the retry/failover
     /// loop.
-    fn schedule_on(&self, op_id: u64, op: BurstOp, targets: Vec<Target>) -> ExecOutcome {
+    fn schedule_on(
+        &self,
+        op_id: u64,
+        op: BurstOp,
+        targets: Vec<Target>,
+        started: Instant,
+    ) -> ExecOutcome {
         if targets.is_empty() {
             self.stats.lock().unschedulable += 1;
             return ExecOutcome::Denied(format!(
@@ -844,31 +992,34 @@ impl WebComMaster {
             ));
         }
         let request = self.build_request(op_id, op);
-        self.dispatch_to(&request, targets)
+        self.dispatch_to(&request, targets, started)
     }
 
     /// Health-sorts the targets, then runs the dispatch loop under the
-    /// in-flight gauge, recording the whole-dispatch latency.
-    fn dispatch_to(&self, request: &ScheduleRequest, targets: Vec<Target>) -> ExecOutcome {
-        // Health-ordered selection: healthiest first; the sort is
-        // stable, so untouched clients keep registration order.
-        let mut keyed: Vec<((u8, f64, f64), Target)> = targets
-            .into_iter()
-            .map(|t| (t.health.rank(), t))
-            .collect();
-        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let targets: Vec<Target> = keyed.into_iter().map(|(_, t)| t).collect();
+    /// in-flight gauge, recording the whole-dispatch latency since
+    /// `started`.
+    fn dispatch_to(
+        &self,
+        request: &ScheduleRequest,
+        targets: Vec<Target>,
+        started: Instant,
+    ) -> ExecOutcome {
+        let targets = health_ordered(targets);
         let _gauge = GaugeGuard::new(&self.in_flight);
-        let started = Instant::now();
-        let outcome = self.dispatch(request, &targets);
+        let outcome = self.dispatch(request, &targets, started);
         self.dispatch_hist.record(started.elapsed());
         outcome
     }
 
     /// The dispatch loop: health admission, per-target retry,
-    /// cross-target failover, all under one whole-operation deadline.
-    fn dispatch(&self, request: &ScheduleRequest, targets: &[Target]) -> ExecOutcome {
-        let started = Instant::now();
+    /// cross-target failover, all under one whole-operation deadline
+    /// running from `started`.
+    fn dispatch(
+        &self,
+        request: &ScheduleRequest,
+        targets: &[Target],
+        started: Instant,
+    ) -> ExecOutcome {
         let deadline = self.schedule_deadline();
         let mut last_error: Option<ExecError> = None;
         let mut attempted_targets = 0usize;
@@ -900,67 +1051,18 @@ impl WebComMaster {
                     };
                     let budget = remaining.min(self.op_timeout);
                     let call_started = Instant::now();
-                    match target.transport.call(request, budget) {
-                        Ok(reply) => match reply.outcome {
-                            ExecOutcome::Ok(v) => {
-                                permit.record(call_started.elapsed(), true);
-                                let mut stats = self.stats.lock();
-                                stats.scheduled += 1;
-                                if reply.replayed {
-                                    stats.replayed += 1;
-                                }
-                                if attempted_targets > 1 {
-                                    stats.rescheduled += 1;
-                                }
-                                return ExecOutcome::Ok(v);
+                    let reply = target.transport.call(request, budget);
+                    match self.settle(reply, &mut permit, call_started, attempted_targets > 1) {
+                        Ok(outcome) => return outcome,
+                        Err((error, retry)) => {
+                            if retry && attempt < max_attempts {
+                                self.stats.lock().retries += 1;
+                                self.backoff_sleep(attempt, started, deadline);
+                                continue;
                             }
-                            ExecOutcome::Denied(reason) => {
-                                // An authorisation denial is
-                                // authoritative: policy does not change
-                                // because we ask a different client.
-                                // The client answered, so its transport
-                                // is healthy.
-                                permit.record(call_started.elapsed(), true);
-                                self.stats.lock().client_denials += 1;
-                                return ExecOutcome::Denied(reason);
-                            }
-                            ExecOutcome::Failed(e) if !e.retryable => {
-                                // Deterministic failure: every client
-                                // would fail the same way.
-                                permit.record(call_started.elapsed(), true);
-                                if reply.replayed {
-                                    self.stats.lock().replayed += 1;
-                                }
-                                return ExecOutcome::Failed(e);
-                            }
-                            ExecOutcome::Failed(e) => {
-                                permit.record(call_started.elapsed(), false);
-                                if attempt < max_attempts {
-                                    self.stats.lock().retries += 1;
-                                    self.backoff_sleep(attempt, started, deadline);
-                                    continue;
-                                }
-                                break e; // retries exhausted: fail over
-                            }
-                        },
-                        Err(te) => {
-                            permit.record(call_started.elapsed(), false);
-                            if te.is_timeout() {
-                                self.stats.lock().timeouts += 1;
-                                // A timed-out client may already have
-                                // executed the op. Re-ask it first —
-                                // its executed-op memo replays the
-                                // recorded result instead of a second
-                                // execution — before failing over.
-                                if attempt < max_attempts {
-                                    self.stats.lock().retries += 1;
-                                    self.backoff_sleep(attempt, started, deadline);
-                                    continue;
-                                }
-                            }
-                            // Unreachable, hung past its retries, or a
+                            // Retries exhausted, unreachable, or a
                             // protocol violation: reschedule elsewhere.
-                            break te.to_exec_error();
+                            break error;
                         }
                     }
                 };
@@ -1002,6 +1104,69 @@ impl WebComMaster {
         })
     }
 
+    /// Settles one transport attempt: feeds its latency and result to
+    /// the target's health through `permit` and does the per-outcome
+    /// stats accounting. `Ok` is the op's final outcome. `Err` carries
+    /// the error and whether re-asking the same client comes next (a
+    /// retryable failure, or a timeout: a timed-out client may already
+    /// have executed the op, and its executed-op memo replays the
+    /// recorded result instead of a second execution) rather than
+    /// failing over.
+    fn settle(
+        &self,
+        reply: Result<ScheduleReply, TransportError>,
+        permit: &mut CallPermit<'_>,
+        call_started: Instant,
+        rescheduled: bool,
+    ) -> Result<ExecOutcome, (ExecError, bool)> {
+        let latency = call_started.elapsed();
+        let reply = match reply {
+            Ok(reply) => reply,
+            Err(te) => {
+                permit.record(latency, false);
+                if te.is_timeout() {
+                    self.stats.lock().timeouts += 1;
+                }
+                return Err((te.to_exec_error(), te.is_timeout()));
+            }
+        };
+        match reply.outcome {
+            ExecOutcome::Ok(v) => {
+                permit.record(latency, true);
+                let mut stats = self.stats.lock();
+                stats.scheduled += 1;
+                if reply.replayed {
+                    stats.replayed += 1;
+                }
+                if rescheduled {
+                    stats.rescheduled += 1;
+                }
+                Ok(ExecOutcome::Ok(v))
+            }
+            ExecOutcome::Denied(reason) => {
+                // An authorisation denial is authoritative: policy does
+                // not change because we ask a different client. The
+                // client answered, so its transport is healthy.
+                permit.record(latency, true);
+                self.stats.lock().client_denials += 1;
+                Ok(ExecOutcome::Denied(reason))
+            }
+            ExecOutcome::Failed(e) if !e.retryable => {
+                // Deterministic failure: every client would fail the
+                // same way.
+                permit.record(latency, true);
+                if reply.replayed {
+                    self.stats.lock().replayed += 1;
+                }
+                Ok(ExecOutcome::Failed(e))
+            }
+            ExecOutcome::Failed(e) => {
+                permit.record(latency, false);
+                Err((e, true))
+            }
+        }
+    }
+
     /// Accounts a whole-operation deadline expiry and builds its error.
     fn deadline_exceeded(
         &self,
@@ -1034,31 +1199,76 @@ impl WebComMaster {
 
     /// Schedules the binding registered for a primitive.
     pub fn schedule_primitive(&self, primitive: &str, args: Vec<Value>) -> ExecOutcome {
-        let binding = { self.bindings.read().get(primitive).cloned() };
-        let Some(b) = binding else {
-            return ExecOutcome::failed(format!("no binding for primitive `{primitive}`"));
+        match self.bound_op(primitive, args) {
+            Ok(op) => self
+                .schedule_burst(vec![op])
+                .pop()
+                .expect("burst of one yields one outcome"),
+            Err(unbound) => unbound,
+        }
+    }
+
+    /// The op a primitive's binding schedules, or the failure for an
+    /// unbound primitive.
+    fn bound_op(&self, primitive: &str, args: Vec<Value>) -> Result<BurstOp, ExecOutcome> {
+        let bindings = self.bindings.read();
+        let Some(b) = bindings.get(primitive) else {
+            return Err(ExecOutcome::failed(format!(
+                "no binding for primitive `{primitive}`"
+            )));
         };
-        let action = ScheduledAction::new(b.component.clone(), b.domain.clone(), b.role.clone());
-        self.schedule(&action, &b.user, &b.principal, args)
+        Ok(BurstOp {
+            action: ScheduledAction::new(b.component.clone(), b.domain.clone(), b.role.clone()),
+            user: b.user.clone(),
+            principal: b.principal.clone(),
+            args,
+        })
     }
 }
 
 /// The master as a condensed-graph executor: every `Primitive` node is
 /// scheduled to an authorised client, so evaluating a graph *is*
-/// distributing the application (Figure 3).
+/// distributing the application (Figure 3). A wave's primitives go out
+/// together through [`WebComMaster::schedule_wave`].
 impl OpExecutor for WebComMaster {
     fn execute(&self, op: &str, args: &[Value]) -> Result<Value, EngineError> {
-        match self.schedule_primitive(op, args.to_vec()) {
-            ExecOutcome::Ok(v) => Ok(v),
-            ExecOutcome::Denied(reason) => Err(EngineError::Refused {
-                op: op.to_string(),
-                reason,
-            }),
-            ExecOutcome::Failed(e) => Err(EngineError::BadArguments {
-                op: op.to_string(),
-                reason: e.to_string(),
-            }),
-        }
+        self.execute_wave(&[(op, args.to_vec())])
+            .pop()
+            .expect("one result per call")
+    }
+
+    fn execute_wave(&self, calls: &[(&str, Vec<Value>)]) -> Vec<Result<Value, EngineError>> {
+        // Unbound primitives fail on their own; the rest go out as one
+        // wave.
+        let mut ops = Vec::with_capacity(calls.len());
+        let unbound: Vec<Option<ExecOutcome>> = calls
+            .iter()
+            .map(|(op, args)| match self.bound_op(op, args.clone()) {
+                Ok(bound) => {
+                    ops.push(bound);
+                    None
+                }
+                Err(unbound) => Some(unbound),
+            })
+            .collect();
+        let mut scheduled = self.schedule_wave(ops).into_iter();
+        calls
+            .iter()
+            .zip(unbound)
+            .map(|((op, _), unbound)| {
+                match unbound.unwrap_or_else(|| scheduled.next().expect("one outcome per op")) {
+                    ExecOutcome::Ok(v) => Ok(v),
+                    ExecOutcome::Denied(reason) => Err(EngineError::Refused {
+                        op: op.to_string(),
+                        reason,
+                    }),
+                    ExecOutcome::Failed(e) => Err(EngineError::BadArguments {
+                        op: op.to_string(),
+                        reason: e.to_string(),
+                    }),
+                }
+            })
+            .collect()
     }
 }
 
@@ -1322,9 +1532,6 @@ mod dispatch_tests {
         }
     }
 
-    /// A master over arbitrary `(name, key, transport)` targets, with a
-    /// hook to adjust builders (health config, deadline) before the
-    /// clients register.
     /// A master over arbitrary `(name, key, transport)` targets, with a
     /// hook to adjust builders (health config, deadline) before the
     /// clients register.
@@ -1634,6 +1841,123 @@ mod dispatch_tests {
             "deadline should cap attempts, saw {}",
             hanging.calls.load(Ordering::SeqCst)
         );
+    }
+
+    fn burst_op(i: i64) -> BurstOp {
+        BurstOp {
+            action: action(),
+            user: "worker".into(),
+            principal: "Kworker".to_string(),
+            args: vec![Value::Int(i)],
+        }
+    }
+
+    #[test]
+    fn wave_leftovers_stay_inside_the_deadline_from_the_wave_start() {
+        let hanging = Arc::new(HangingTransport {
+            calls: AtomicUsize::new(0),
+        });
+        let deadline = Duration::from_millis(250);
+        let master = master_of(
+            vec![(
+                "c1".to_string(),
+                "Kc1".to_string(),
+                Arc::clone(&hanging) as Arc<dyn ClientTransport>,
+            )],
+            RetryPolicy {
+                max_attempts: 50,
+                base_delay: Duration::ZERO,
+                max_delay: Duration::ZERO,
+            },
+            |m| {
+                // A breaker that never trips: the ops retry until the
+                // deadline stops them.
+                m.with_op_timeout(Duration::from_millis(100))
+                    .with_schedule_deadline(deadline)
+                    .with_health_config(HealthConfig {
+                        failure_threshold: u32::MAX,
+                        min_samples: u64::MAX,
+                        ..HealthConfig::default()
+                    })
+            },
+        );
+        // The batch gives up after one op timeout (the unanswering
+        // client is not asked the other three); all four ops then fall
+        // through to the per-op loop. Were each op's deadline to restart
+        // there, the wave would run ~100 + 4 × 250 ms.
+        let started = Instant::now();
+        let outcomes = master.schedule_wave((0..4).map(burst_op).collect());
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < deadline + Duration::from_millis(100),
+            "wave ran {elapsed:?}, deadline was {deadline:?}"
+        );
+        for out in &outcomes {
+            assert!(
+                matches!(out, ExecOutcome::Failed(e) if e.detail.contains("deadline")),
+                "{out:?}"
+            );
+        }
+        let stats = master.stats();
+        assert_eq!(stats.deadline_exceeded, 4, "stats: {stats:?}");
+        assert_eq!(stats.in_flight, 0);
+    }
+
+    /// Answers every request `Ok(args[0])`, recording batch sizes.
+    #[derive(Default)]
+    struct BatchRecorder {
+        batches: Mutex<Vec<usize>>,
+    }
+
+    impl ClientTransport for BatchRecorder {
+        fn call(
+            &self,
+            request: &ScheduleRequest,
+            _timeout: Duration,
+        ) -> Result<ScheduleReply, TransportError> {
+            Ok(ScheduleReply {
+                op_id: request.op_id,
+                client: "c1".to_string(),
+                outcome: ExecOutcome::Ok(request.args[0].clone()),
+                replayed: false,
+            })
+        }
+
+        fn call_batch(
+            &self,
+            requests: &[&ScheduleRequest],
+            timeout: Duration,
+        ) -> Vec<Result<ScheduleReply, TransportError>> {
+            self.batches.lock().push(requests.len());
+            requests.iter().map(|r| self.call(r, timeout)).collect()
+        }
+    }
+
+    #[test]
+    fn wave_goes_out_as_one_batch_and_one_op_keeps_the_burst_path() {
+        let recorder = Arc::new(BatchRecorder::default());
+        let master = master_of(
+            vec![(
+                "c1".to_string(),
+                "Kc1".to_string(),
+                Arc::clone(&recorder) as Arc<dyn ClientTransport>,
+            )],
+            fast_retry(),
+            |m| m,
+        );
+        let outcomes = master.schedule_wave((0..5).map(burst_op).collect());
+        let expected: Vec<ExecOutcome> = (0..5).map(|i| ExecOutcome::Ok(Value::Int(i))).collect();
+        assert_eq!(outcomes, expected);
+        // A wave of one takes `call`, as `schedule_burst` does.
+        assert_eq!(
+            master.schedule_wave(vec![burst_op(9)]),
+            vec![ExecOutcome::Ok(Value::Int(9))]
+        );
+        assert_eq!(*recorder.batches.lock(), vec![5]);
+        let stats = master.stats();
+        assert_eq!(stats.scheduled, 6);
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(stats.dispatch_latency.count(), 6);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! gates whether a dispatch may target the client at all, the window
 //! gates how many of the admitted calls may be on the wire at once.
 //!
+//! A batch ([`ClientTransport::call_batch`], how a condensed-graph wave
+//! reaches the wire) takes as many window slots as are free, registers
+//! that many op ids, writes all their frames with one socket write and
+//! collects the replies by `op_id`, a window at a time. A single call is
+//! a batch of one.
+//!
 //! Failure model: if the reader thread dies (peer reset, garbage
 //! frame, protocol violation), it marks the connection generation dead
 //! and fails every pending op with a retryable
@@ -59,29 +65,40 @@ impl Window {
         }
     }
 
-    /// Takes one slot, waiting at most `timeout` for one to free up.
-    fn acquire(&self, timeout: Duration) -> bool {
+    /// Takes between one and `want` slots — as many as are free once
+    /// one is — waiting at most `timeout` for the first. Returns how
+    /// many it took (0 on timeout). A caller never holds slots while
+    /// waiting for more, so two batches cannot deadlock on one window.
+    fn acquire_up_to(&self, want: usize, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut woken = false;
         loop {
             if *slots > 0 {
-                *slots -= 1;
-                return true;
+                let taken = want.min(*slots);
+                *slots -= taken;
+                if woken && *slots > 0 {
+                    // Pass the wake-up on: a release may free several
+                    // slots but wakes one waiter.
+                    self.freed.notify_one();
+                }
+                return taken;
             }
             let now = Instant::now();
             if now >= deadline {
-                return false;
+                return 0;
             }
             slots = self
                 .freed
                 .wait_timeout(slots, deadline - now)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            woken = true;
         }
     }
 
-    fn release(&self) {
-        *self.slots.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+    fn release(&self, slots: usize) {
+        *self.slots.lock().unwrap_or_else(|e| e.into_inner()) += slots;
         self.freed.notify_one();
     }
 }
@@ -141,17 +158,105 @@ impl ConnState {
         }
         Ok(())
     }
+
+    /// Withdraws ops whose caller stopped waiting: a late reply finds
+    /// no waiter and is dropped.
+    fn withdraw(&self, outstanding: &[(u64, usize)]) {
+        let mut pending = self.pending.lock();
+        for (op_id, _) in outstanding {
+            pending.remove(op_id);
+        }
+    }
+
+    /// Puts one window's worth of encoded frames (request index, frame)
+    /// on the wire in a single write and collects their replies by
+    /// `op_id` until `deadline`, filling `results`. `Ok(false)` means
+    /// some op was still unanswered at the deadline: it is withdrawn
+    /// and left `None`. `Err` means the connection was lost: every op
+    /// of the chunk still outstanding is left `None` for the caller to
+    /// fail with that error, and the pending table holds none of them.
+    fn exchange(
+        &self,
+        requests: &[&ScheduleRequest],
+        chunk: Vec<(usize, Vec<u8>)>,
+        results: &mut [Option<ReplyResult>],
+        deadline: Instant,
+    ) -> Result<bool, TransportError> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(TransportError::Closed(
+                "mux connection died while waiting for a window slot".to_string(),
+            ));
+        }
+        // Register interest before writing, so no reply can race past
+        // an unregistered op_id. `register` re-checks `dead` after each
+        // insert: a poison() in between would otherwise orphan entries
+        // and block us for the full timeout.
+        let (reply_tx, reply_rx) = channel::unbounded::<ReplyResult>();
+        let mut outstanding: Vec<(u64, usize)> = Vec::with_capacity(chunk.len());
+        let mut wire: Vec<u8> = Vec::new();
+        for (i, frame) in chunk {
+            let op_id = requests[i].op_id;
+            match self.register(op_id, reply_tx.clone()) {
+                Ok(()) if wire.is_empty() => wire = frame,
+                Ok(()) => wire.extend_from_slice(&frame),
+                Err(e @ TransportError::DuplicateOp(_)) => {
+                    results[i] = Some(Err(e));
+                    continue;
+                }
+                // Dead mid-registration: poison() drained the entries
+                // registered so far.
+                Err(e) => return Err(e),
+            }
+            outstanding.push((op_id, i));
+        }
+        drop(reply_tx);
+        if outstanding.is_empty() {
+            return Ok(true);
+        }
+        let written = write_encoded(&mut *self.writer.lock(), &wire);
+        if let Err(e) = written {
+            self.withdraw(&outstanding);
+            self.poison(&format!("write failed: {e}"));
+            return Err(TransportError::Closed(format!("mux write failed: {e}")));
+        }
+        let lost = loop {
+            if outstanding.is_empty() {
+                break None;
+            }
+            let left = deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1));
+            match reply_rx.recv_timeout(left) {
+                Ok(Ok(reply)) => {
+                    if let Some(k) = outstanding.iter().position(|&(id, _)| id == reply.op_id) {
+                        results[outstanding.swap_remove(k).1] = Some(Ok(reply));
+                    }
+                }
+                // The reader died and drained the table.
+                Ok(Err(e)) => break Some(e),
+                Err(RecvTimeoutError::Disconnected) => {
+                    break Some(TransportError::Closed(
+                        "mux connection dropped the pending table".to_string(),
+                    ))
+                }
+                Err(RecvTimeoutError::Timeout) => break None,
+            }
+        };
+        self.withdraw(&outstanding);
+        lost.map_or(Ok(outstanding.is_empty()), Err)
+    }
 }
 
-/// Returns its window slot when the caller is done with it — on reply,
-/// timeout, and every error path alike.
+/// Returns its window slots when the caller is done with them — on
+/// reply, timeout, and every error path alike.
 struct WindowToken {
     conn: Arc<ConnState>,
+    slots: usize,
 }
 
 impl Drop for WindowToken {
     fn drop(&mut self) {
-        self.conn.window.release();
+        self.conn.window.release(self.slots);
     }
 }
 
@@ -258,63 +363,69 @@ impl ClientTransport for MuxTransport {
         request: &ScheduleRequest,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
-        let started = Instant::now();
+        self.call_batch(&[request], timeout)
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Pipelines the batch: each chunk of up to one window is
+    /// registered, written with a single socket write, and collected by
+    /// `op_id`, so the batch costs one round trip per window rather than
+    /// one per op. Each chunk has `timeout` from when it starts waiting
+    /// for window slots.
+    fn call_batch(
+        &self,
+        requests: &[&ScheduleRequest],
+        timeout: Duration,
+    ) -> Vec<Result<ScheduleReply, TransportError>> {
+        let mut results: Vec<Option<ReplyResult>> = requests.iter().map(|_| None).collect();
         // Encode up front: the writer lock then covers only the socket
         // write, and a frame that cannot be encoded never takes a slot.
-        let frame = encode_schedule(request).map_err(encode_error)?;
-        let conn = self.ensure_conn()?;
-        // Window admission: wait for a free in-flight slot, but never
-        // past the call deadline.
-        let remaining = timeout
-            .checked_sub(started.elapsed())
-            .filter(|r| !r.is_zero())
-            .ok_or(TransportError::Timeout(timeout))?;
-        if !conn.window.acquire(remaining) {
-            return Err(TransportError::Timeout(timeout));
-        }
-        let _token = WindowToken {
-            conn: Arc::clone(&conn),
-        };
-        if conn.dead.load(Ordering::SeqCst) {
-            return Err(TransportError::Closed(
-                "mux connection died while waiting for a window slot".to_string(),
-            ));
-        }
-        // Register interest before writing, so the reply cannot race
-        // past an unregistered op_id. `register` re-checks `dead` after
-        // the insert: a poison() between the check above and the insert
-        // would otherwise orphan the entry and block us for the full
-        // timeout.
-        let (reply_tx, reply_rx) = channel::unbounded::<ReplyResult>();
-        conn.register(request.op_id, reply_tx)?;
-        {
-            let mut writer = conn.writer.lock();
-            if let Err(e) = write_encoded(&mut *writer, &frame) {
-                drop(writer);
-                conn.pending.lock().remove(&request.op_id);
-                conn.poison(&format!("write failed: {e}"));
-                return Err(TransportError::Closed(format!("mux write failed: {e}")));
+        let mut queue: Vec<(usize, Vec<u8>)> = Vec::with_capacity(requests.len());
+        for (i, request) in requests.iter().enumerate() {
+            match encode_schedule(request) {
+                Ok(frame) => queue.push((i, frame)),
+                Err(e) => results[i] = Some(Err(encode_error(e))),
             }
         }
-        let remaining = timeout
-            .checked_sub(started.elapsed())
-            .filter(|r| !r.is_zero())
-            .unwrap_or(Duration::from_millis(1));
-        match reply_rx.recv_timeout(remaining) {
-            Ok(Ok(reply)) => Ok(reply),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                // Withdraw: a late reply finds no waiter and is dropped.
-                conn.pending.lock().remove(&request.op_id);
-                Err(TransportError::Timeout(timeout))
+        // What every op left unanswered fails with: a timeout, unless
+        // the connection was lost.
+        let mut lost: Option<TransportError> = None;
+        while !queue.is_empty() {
+            let conn = match self.ensure_conn() {
+                Ok(conn) => conn,
+                Err(e) => {
+                    lost = Some(e);
+                    break;
+                }
+            };
+            // Window admission: wait for a free in-flight slot, but
+            // never past the chunk's deadline.
+            let deadline = Instant::now() + timeout;
+            let taken = conn.window.acquire_up_to(queue.len(), timeout);
+            if taken == 0 {
+                break;
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                conn.pending.lock().remove(&request.op_id);
-                Err(TransportError::Closed(
-                    "mux connection dropped the pending table".to_string(),
-                ))
+            let _token = WindowToken {
+                conn: Arc::clone(&conn),
+                slots: taken,
+            };
+            let chunk: Vec<(usize, Vec<u8>)> = queue.drain(..taken).collect();
+            match conn.exchange(requests, chunk, &mut results, deadline) {
+                Ok(true) => {}
+                // Unresponsive: the ops not yet sent time out unsent.
+                Ok(false) => break,
+                Err(e) => {
+                    lost = Some(e);
+                    break;
+                }
             }
         }
+        let fallback = lost.unwrap_or(TransportError::Timeout(timeout));
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(fallback.clone())))
+            .collect()
     }
 
     fn describe(&self) -> String {
@@ -333,7 +444,14 @@ impl Drop for MuxTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::authz::ScheduledAction;
+    use crate::protocol::{ExecOutcome, WireRequest};
+    use crate::wire::encode_frame;
+    use hetsec_graphs::Value;
+    use hetsec_middleware::component::ComponentRef;
+    use hetsec_middleware::naming::MiddlewareKind;
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
     /// A ConnState over a real loopback socket pair (no reader thread:
     /// these tests drive poison() and register() directly).
@@ -402,5 +520,197 @@ mod tests {
         // The first caller still owns the entry: the drain reaches it.
         conn.poison("peer reset");
         assert!(matches!(first_rx.try_recv(), Ok(Err(TransportError::Closed(_)))));
+    }
+
+    #[test]
+    fn a_multi_slot_release_reaches_every_waiter() {
+        let window = Arc::new(Window::new(2));
+        assert_eq!(window.acquire_up_to(5, Duration::from_millis(10)), 2);
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let window = Arc::clone(&window);
+                std::thread::spawn(move || window.acquire_up_to(1, Duration::from_secs(5)))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        let released = Instant::now();
+        // One release of two slots wakes one waiter, which passes the
+        // wake-up on to the other.
+        window.release(2);
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), 1);
+        }
+        assert!(released.elapsed() < Duration::from_secs(2));
+    }
+
+    fn request(op_id: u64) -> ScheduleRequest {
+        ScheduleRequest {
+            op_id,
+            action: ScheduledAction::new(
+                ComponentRef::new(MiddlewareKind::Ejb, "Dom", "Calc", "add"),
+                "Dom",
+                "Worker",
+            ),
+            user: "worker".into(),
+            principal: "Kworker".to_string(),
+            master_key: "Kmaster".to_string(),
+            credentials: vec![],
+            stamps: vec![],
+            args: vec![Value::Int(op_id as i64)],
+        }
+    }
+
+    /// A scripted serving peer on loopback: `serve` drives the accepted
+    /// socket, and returning from it resets the connection.
+    fn fake_peer(
+        window: usize,
+        serve: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (MuxTransport, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = MuxTransport::new(listener.local_addr().unwrap()).with_window(window);
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            serve(stream);
+        });
+        (transport, peer)
+    }
+
+    fn read_op(stream: &mut TcpStream) -> u64 {
+        match read_frame::<WireRequest, _>(stream).unwrap() {
+            WireRequest::Schedule(request) => request.op_id,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+
+    /// Answers `op_id` with `Ok(op_id)`.
+    fn reply(stream: &mut TcpStream, op_id: u64) {
+        let frame = encode_frame(&WireResponse::Reply(ScheduleReply {
+            op_id,
+            client: "peer".to_string(),
+            outcome: ExecOutcome::Ok(Value::Int(op_id as i64)),
+            replayed: false,
+        }))
+        .unwrap();
+        write_encoded(stream, &frame).unwrap();
+    }
+
+    fn call_batch(transport: &MuxTransport, ids: &[u64]) -> Vec<ReplyResult> {
+        let requests: Vec<ScheduleRequest> = ids.iter().map(|&id| request(id)).collect();
+        let refs: Vec<&ScheduleRequest> = requests.iter().collect();
+        transport.call_batch(&refs, Duration::from_secs(5))
+    }
+
+    fn pending_ops(transport: &MuxTransport) -> usize {
+        transport
+            .conn
+            .lock()
+            .as_ref()
+            .map_or(0, |c| c.pending.lock().len())
+    }
+
+    #[test]
+    fn batch_replies_in_reverse_order_land_on_their_requests() {
+        let (transport, peer) = fake_peer(8, |mut stream| {
+            let ids: Vec<u64> = (0..5).map(|_| read_op(&mut stream)).collect();
+            for &id in ids.iter().rev() {
+                reply(&mut stream, id);
+            }
+        });
+        let ids = [40, 41, 42, 43, 44];
+        let results = call_batch(&transport, &ids);
+        peer.join().unwrap();
+        for (id, result) in ids.iter().zip(results) {
+            let reply = result.unwrap();
+            assert_eq!(reply.op_id, *id);
+            assert_eq!(reply.outcome, ExecOutcome::Ok(Value::Int(*id as i64)));
+        }
+    }
+
+    #[test]
+    fn batch_wider_than_the_window_is_split_and_fully_answered() {
+        let window = 4;
+        let (transport, peer) = fake_peer(window, move |mut stream| {
+            // Never more than one window outstanding: read a window's
+            // frames, then answer them.
+            for _ in 0..3 {
+                let ids: Vec<u64> = (0..window).map(|_| read_op(&mut stream)).collect();
+                for id in ids {
+                    reply(&mut stream, id);
+                }
+            }
+        });
+        let ids: Vec<u64> = (100..100 + 3 * window as u64).collect();
+        let results = call_batch(&transport, &ids);
+        peer.join().unwrap();
+        let answered: Vec<u64> = results.into_iter().map(|r| r.unwrap().op_id).collect();
+        assert_eq!(answered, ids);
+        assert_eq!(pending_ops(&transport), 0);
+    }
+
+    #[test]
+    fn each_window_of_a_batch_gets_its_own_timeout() {
+        let (transport, peer) = fake_peer(2, |mut stream| {
+            // Slow but alive: each window is answered after 150 ms, so
+            // the batch takes longer than one timeout in total.
+            for _ in 0..2 {
+                let ids = [read_op(&mut stream), read_op(&mut stream)];
+                std::thread::sleep(Duration::from_millis(150));
+                for id in ids {
+                    reply(&mut stream, id);
+                }
+            }
+        });
+        let requests: Vec<ScheduleRequest> = (1..=4).map(request).collect();
+        let refs: Vec<&ScheduleRequest> = requests.iter().collect();
+        let results = transport.call_batch(&refs, Duration::from_millis(250));
+        peer.join().unwrap();
+        for (id, result) in (1..=4).zip(results) {
+            assert_eq!(result.unwrap().op_id, id);
+        }
+    }
+
+    #[test]
+    fn peer_reset_mid_batch_fails_the_rest_as_retryable_closed() {
+        let (transport, peer) = fake_peer(8, |mut stream| {
+            let ids: Vec<u64> = (0..6).map(|_| read_op(&mut stream)).collect();
+            reply(&mut stream, ids[0]);
+            reply(&mut stream, ids[1]);
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+        let started = Instant::now();
+        let results = call_batch(&transport, &[1, 2, 3, 4, 5, 6]);
+        peer.join().unwrap();
+        // Fails fast, not at the deadline.
+        assert!(started.elapsed() < Duration::from_secs(4));
+        assert_eq!(results.len(), 6);
+        for (i, result) in results.into_iter().enumerate() {
+            match (i, result) {
+                (0 | 1, Ok(reply)) => assert_eq!(reply.op_id, i as u64 + 1),
+                (2.., Err(e @ TransportError::Closed(_))) => assert!(e.to_exec_error().retryable),
+                (i, other) => panic!("op {i}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!(pending_ops(&transport), 0);
+    }
+
+    #[test]
+    fn duplicate_op_id_in_a_batch_is_refused_for_that_op_only() {
+        let (transport, peer) = fake_peer(8, |mut stream| {
+            // Only the two distinct ops reach the wire.
+            for _ in 0..2 {
+                let id = read_op(&mut stream);
+                reply(&mut stream, id);
+            }
+        });
+        let results = call_batch(&transport, &[7, 7, 8]);
+        peer.join().unwrap();
+        assert_eq!(results[0].as_ref().unwrap().op_id, 7);
+        assert!(
+            matches!(results[1], Err(TransportError::DuplicateOp(7))),
+            "{:?}",
+            results[1]
+        );
+        assert_eq!(results[2].as_ref().unwrap().op_id, 8);
+        assert_eq!(pending_ops(&transport), 0);
     }
 }

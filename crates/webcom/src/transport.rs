@@ -1,7 +1,8 @@
 //! Transport abstraction for the master/client scheduling fabric.
 //!
 //! The master schedules through a [`ClientTransport`]: one synchronous,
-//! deadline-bounded request/reply exchange per call, with replies
+//! deadline-bounded request/reply exchange per call (or per batch of
+//! independent requests, [`ClientTransport::call_batch`]), with replies
 //! correlated to requests by `op_id`. Two real implementations exist —
 //! [`ChannelTransport`] over the in-process channel fabric (the fast
 //! path, and what tests use) and [`TcpTransport`] over a length-prefixed
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Why a transport call failed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum TransportError {
     /// No reply arrived before the deadline.
     Timeout(Duration),
@@ -85,6 +86,33 @@ pub trait ClientTransport: Send + Sync {
         request: &ScheduleRequest,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError>;
+
+    /// Sends a batch of independent requests and waits for their
+    /// replies, positionally aligned with `requests`. Each request waits
+    /// at most `timeout` for its reply. Once one times out the peer is
+    /// taken as unresponsive: the requests not yet sent fail with a
+    /// timeout without being sent, so a hung peer costs one `timeout`,
+    /// not one per request. The default sends the requests one after
+    /// another through [`call`](Self::call); a pipelined transport
+    /// overrides it to put the batch on the wire at once.
+    fn call_batch(
+        &self,
+        requests: &[&ScheduleRequest],
+        timeout: Duration,
+    ) -> Vec<Result<ScheduleReply, TransportError>> {
+        let mut unresponsive = false;
+        requests
+            .iter()
+            .map(|request| {
+                if unresponsive {
+                    return Err(TransportError::Timeout(timeout));
+                }
+                let reply = self.call(request, timeout);
+                unresponsive = matches!(reply, Err(TransportError::Timeout(_)));
+                reply
+            })
+            .collect()
+    }
 
     /// Human-readable description (diagnostics).
     fn describe(&self) -> String {

@@ -63,6 +63,13 @@ timeout 120 cargo test -q --test wire_codec
 echo "== depth bombs against a live listener (connection dropped, server keeps serving) =="
 timeout 120 cargo test -q --test wire_codec -- live_listener_survives_depth_bombs
 
+echo "== graphs engine: each wave handed to the executor as one batch =="
+timeout 120 cargo test -q -p hetsec-graphs
+
+echo "== distributed execution: pipelined waves vs the local evaluator, client killed mid-wave =="
+timeout 120 cargo test -q --test distributed_execution
+timeout 120 cargo test -q --test distributed_execution -- wave_survives_its_client_being_killed_mid_wave
+
 echo "== verdict-stamp tests (tamper property, revocation, cross-node amortisation) =="
 timeout 120 cargo test -q --test verdict_stamps
 

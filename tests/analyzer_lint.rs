@@ -145,9 +145,8 @@ fn decode_report_roundtrips_through_the_analyzer() {
 
 #[test]
 fn escalation_findings_are_deterministic_across_runs() {
-    // The escalation pass fans the user × tuple sweep out with rayon;
-    // findings must come back in the same order on every run regardless
-    // of scheduling. Run the full defect lint repeatedly and require
+    // The escalation pass sweeps users × tuples; findings must come
+    // back in the same order on every run. Run the full defect lint repeatedly and require
     // byte-identical reports.
     let text = fixture("defects.kn");
     let opts = defect_options();
