@@ -8,9 +8,10 @@
 //! set is trivial).
 //!
 //! The `transport_*` series compares the fabrics the same workload can
-//! ride: in-process channels, loopback TCP (wire protocol + framing +
-//! syscalls), and loopback TCP behind a fault injector adding link
-//! latency (the retry/failover machinery's steady-state overhead).
+//! ride: in-process channels, loopback TCP through the mux transport
+//! (wire protocol + framing + syscalls), and the same mux behind a fault
+//! injector dropping calls (the retry/failover machinery's steady-state
+//! overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hetsec_graphs::Value;
@@ -19,8 +20,8 @@ use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     serve_tcp, spawn_client, ArithComponentExecutor, AuthzStack, Binding, ChannelTransport,
-    ClientConfig, ClientEngine, ClientHandle, ClientTransport, FaultyTransport, TcpClientServer,
-    TcpTransport, TrustManager, WebComMaster,
+    ClientConfig, ClientEngine, ClientHandle, ClientTransport, FaultyTransport, MuxTransport,
+    TcpClientServer, TrustManager, WebComMaster,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -193,7 +194,7 @@ fn bench_transport(c: &mut Criterion) {
             .with_op_timeout(Duration::from_secs(2));
         let s0 = tcp_client(0);
         let s1 = tcp_client(1);
-        let faulty = Arc::new(FaultyTransport::new(TcpTransport::new(s0.local_addr())));
+        let faulty = Arc::new(FaultyTransport::new(MuxTransport::new(s0.local_addr())));
         master.register_transport("c0", "Kc0", faulty.clone(), vec!["Dom".into()]);
         master.register_tcp(s1.local_addr()).expect("identify");
         bind_add(&master);

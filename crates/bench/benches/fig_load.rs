@@ -9,10 +9,9 @@
 //! * `fig_load/p50|p99|p999/<series>` — dispatch-latency quantiles in
 //!   nanoseconds, from the masters' log-bucketed histograms;
 //!
-//! where `<series>` is `lockstep_shardsN` / `mux_shardsN` for N in
-//! {1, 2, 4}. The acceptance claims read straight off the series: mux
-//! beats lockstep ≥ 2× on one shard, and mux throughput scales
-//! monotonically 1 → 2 → 4 shards, at ≥ 100k synthetic principals.
+//! where `<series>` is `mux_shardsN` for N in {1, 2, 4}. The scaling
+//! claim reads straight off the series: mux throughput grows 1 → 2 → 4
+//! shards, at ≥ 100k synthetic principals.
 //!
 //! The host is single-core, so every win here is latency hiding: the
 //! synthetic executor sleeps a fixed service time per op, and
@@ -28,11 +27,7 @@ fn smoke_mode() -> bool {
 }
 
 fn series_label(r: &LoadReport) -> String {
-    format!(
-        "{}_shards{}",
-        if r.mux { "mux" } else { "lockstep" },
-        r.shards
-    )
+    format!("mux_shards{}", r.shards)
 }
 
 fn record(group: &mut criterion::BenchmarkGroup<'_>, id: String, value: f64) {
@@ -46,43 +41,39 @@ fn bench_load(c: &mut Criterion) {
     let principals = if smoke { 500 } else { 100_000 };
     let stack = synthetic_stack(principals);
     let mut reports = Vec::new();
-    for mux in [false, true] {
-        for shards in [1usize, 2, 4] {
-            let cfg = if smoke {
-                LoadConfig {
-                    principals,
-                    ops: 24 * shards,
-                    shards,
-                    mux,
-                    window: 8,
-                    callers: 2,
-                    pipeline: 4,
-                    service_time: Duration::from_micros(100),
-                    ..LoadConfig::default()
-                }
-            } else {
-                LoadConfig {
-                    principals,
-                    // Closed-loop: size each run for roughly similar
-                    // wall time across shard counts.
-                    ops: if mux { 1_000 * shards } else { 250 * shards },
-                    shards,
-                    mux,
-                    window: 32,
-                    callers: 4,
-                    pipeline: 8,
-                    service_time: Duration::from_millis(2),
-                    ..LoadConfig::default()
-                }
-            };
-            let report = run_load_with_stack(&cfg, &stack);
-            assert_eq!(
-                report.failed, 0,
-                "load run {} dropped ops: {report:?}",
-                series_label(&report)
-            );
-            reports.push(report);
-        }
+    for shards in [1usize, 2, 4] {
+        let cfg = if smoke {
+            LoadConfig {
+                principals,
+                ops: 24 * shards,
+                shards,
+                window: 8,
+                callers: 2,
+                pipeline: 4,
+                service_time: Duration::from_micros(100),
+                ..LoadConfig::default()
+            }
+        } else {
+            LoadConfig {
+                principals,
+                // Closed-loop: size each run for roughly similar wall
+                // time across shard counts.
+                ops: 1_000 * shards,
+                shards,
+                window: 32,
+                callers: 4,
+                pipeline: 8,
+                service_time: Duration::from_millis(2),
+                ..LoadConfig::default()
+            }
+        };
+        let report = run_load_with_stack(&cfg, &stack);
+        assert_eq!(
+            report.failed, 0,
+            "load run {} dropped ops: {report:?}",
+            series_label(&report)
+        );
+        reports.push(report);
     }
     let mut group = c.benchmark_group("fig_load");
     group.measurement_time(Duration::from_millis(10));

@@ -32,9 +32,9 @@
 //! * `connect <addr> [n] [client-key]` — run a WebCom master that
 //!   dials a serving client and schedules `n` operations to it,
 //!   reporting dispatch counters and the dispatch-latency histogram;
-//! * `loadgen [--principals N] [--ops N] [--shards N] [--lockstep]
-//!   [--window W] [--callers C] [--pipeline P] [--service-us U]
-//!   [--zipf E] [--open RATE] [--seed S] [--json]` — the closed-loop
+//! * `loadgen [--principals N] [--ops N] [--shards N] [--window W]
+//!   [--callers C] [--pipeline P] [--service-us U] [--zipf E]
+//!   [--open RATE] [--seed S] [--json]` — the closed-loop
 //!   load harness: builds an in-process sharded fabric and drives a
 //!   Zipf-distributed synthetic-principal workload through it.
 //!
@@ -486,14 +486,13 @@ pub fn loadgen_command(cfg: &hetsec_webcom::LoadConfig, json: bool) -> Result<St
         return Ok(serde_json::to_string_pretty(&report)?);
     }
     Ok(format!(
-        "loadgen: {}/{} ops ok over {} shard(s), {} transport, {} principals\n\
+        "loadgen: {}/{} ops ok over {} shard(s), mux transport, {} principals\n\
          throughput: {:.0} ops/s (wall {:.3}s)\n\
          dispatch latency: {}\n\
          forwarded {}, timeouts {}, failovers {}",
         report.completed,
         report.ops,
         report.shards,
-        if report.mux { "mux" } else { "lockstep" },
         report.principals,
         report.throughput,
         report.elapsed().as_secs_f64(),
@@ -784,7 +783,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "loadgen" => {
             let loadgen_usage = "hetsec loadgen [--principals N] [--ops N] [--shards N] \
-                 [--lockstep] [--window W] [--callers C] [--pipeline P] [--service-us U] \
+                 [--window W] [--callers C] [--pipeline P] [--service-us U] \
                  [--zipf E] [--open RATE] [--seed S] [--json]";
             let mut cfg = hetsec_webcom::LoadConfig {
                 principals: 10_000,
@@ -797,18 +796,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut i = 1usize;
             while i < args.len() {
                 let flag = args[i].as_str();
-                match flag {
-                    "--lockstep" => {
-                        cfg.mux = false;
-                        i += 1;
-                        continue;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                        continue;
-                    }
-                    _ => {}
+                if flag == "--json" {
+                    json = true;
+                    i += 1;
+                    continue;
                 }
                 let value = args.get(i + 1).ok_or_else(|| {
                     CliError::Usage(format!("{flag} needs a value; {loadgen_usage}"))
@@ -1223,7 +1214,6 @@ mod tests {
             "20",
             "--shards",
             "1",
-            "--lockstep",
             "--service-us",
             "50",
             "--json",
@@ -1231,7 +1221,6 @@ mod tests {
         .unwrap();
         let report: hetsec_webcom::LoadReport = serde_json::from_str(&out).unwrap();
         assert_eq!(report.completed, 20);
-        assert!(!report.mux);
         assert_eq!(report.latency.count(), 20);
     }
 

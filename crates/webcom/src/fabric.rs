@@ -16,21 +16,22 @@
 //!
 //! Peer links come in two flavours: [`LocalPeerLink`] calls the peer
 //! master in-process (routers, tests, benches), [`TcpPeerLink`] dials
-//! the peer's [`serve_master`] listener — the master-side analogue of
-//! [`crate::serve_tcp`].
+//! the peer's [`serve_master`] listener — the listener core behind
+//! [`crate::serve_tcp`], answering with a peer-master handler instead
+//! of a client engine.
 
 use crate::master::{BurstOp, MasterStats, WebComMaster};
+use crate::net::Listener;
 use crate::protocol::{ExecError, ExecOutcome, ScheduleReply, ScheduleRequest};
-use crate::transport::{encode_error, TransportError};
-use crate::wire::{encode_forward, read_frame, write_encoded, write_frame, WireError};
+use crate::transport::{encode_error, exchange, TransportError};
+use crate::wire::encode_forward;
 use crate::{WireRequest, WireResponse};
 use hetsec_keynote::principal_fingerprint;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Virtual nodes per shard when a caller does not choose: enough that
@@ -158,9 +159,9 @@ impl PeerLink for LocalPeerLink {
 }
 
 /// TCP peer link: dials a peer's [`serve_master`] listener and speaks
-/// `Forward`/`ForwardReply` frames. Lockstep (one forward in flight per
-/// link) — with consistent rings, forwards are the rare path; the
-/// pipelined transport lives between masters and *clients*.
+/// `Forward`/`ForwardReply` frames, one forward in flight per link —
+/// with consistent rings, forwards are the rare path; the pipelined
+/// transport lives between masters and *clients*.
 pub struct TcpPeerLink {
     addr: SocketAddr,
     conn: Mutex<Option<TcpStream>>,
@@ -174,39 +175,6 @@ impl TcpPeerLink {
             conn: Mutex::new(None),
         }
     }
-
-    fn exchange(&self, frame: &[u8], timeout: Duration) -> Result<WireResponse, TransportError> {
-        let mut guard = self.conn.lock();
-        if guard.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, timeout)
-                .map_err(|e| TransportError::Unreachable(format!("{}: {e}", self.addr)))?;
-            stream.set_nodelay(true).ok();
-            *guard = Some(stream);
-        }
-        let stream = guard.as_mut().expect("connected above");
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(|e| TransportError::Closed(e.to_string()))?;
-        let result = write_encoded(stream, frame)
-            .and_then(|()| read_frame::<WireResponse, _>(stream))
-            .map_err(|e| match e {
-                WireError::Io(ioe) if ioe.kind() == std::io::ErrorKind::WouldBlock => {
-                    TransportError::Timeout(timeout)
-                }
-                WireError::Io(ioe) if ioe.kind() == std::io::ErrorKind::TimedOut => {
-                    TransportError::Timeout(timeout)
-                }
-                other => TransportError::Closed(other.to_string()),
-            });
-        if result.is_err() {
-            // Drop the connection: the next forward reconnects fresh.
-            if let Some(s) = guard.take() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-        result
-    }
 }
 
 impl PeerLink for TcpPeerLink {
@@ -217,7 +185,7 @@ impl PeerLink for TcpPeerLink {
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
         let frame = encode_forward(request, hops).map_err(encode_error)?;
-        match self.exchange(&frame, timeout)? {
+        match exchange(&mut self.conn.lock(), self.addr, &frame, timeout)? {
             WireResponse::ForwardReply(reply) if reply.op_id == request.op_id => Ok(reply),
             WireResponse::ForwardReply(reply) => Err(TransportError::Protocol(format!(
                 "forward reply for op {} while awaiting op {}",
@@ -234,53 +202,26 @@ impl PeerLink for TcpPeerLink {
     }
 }
 
-/// Shared shutdown state of a [`MasterServer`].
-struct MasterServerShared {
-    stop: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
-    forwards: AtomicUsize,
-}
-
 /// A running master peer listener (see [`serve_master`]).
 pub struct MasterServer {
-    local_addr: SocketAddr,
-    shared: Arc<MasterServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
+    forwards: Arc<AtomicUsize>,
+    listener: Listener,
 }
 
 impl MasterServer {
     /// The address the listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Forward frames served so far.
     pub fn forwards(&self) -> usize {
-        self.shared.forwards.load(Ordering::SeqCst)
+        self.forwards.load(Ordering::SeqCst)
     }
 
     /// Stops accepting and severs live peer connections.
     pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for conn in self.shared.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(100));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for MasterServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shutdown();
-        }
+        self.listener.shutdown();
     }
 }
 
@@ -288,88 +229,36 @@ impl Drop for MasterServer {
 /// `Forward`/`ForwardReply` frames — how masters in different processes
 /// form one sharded fabric. `Identify`/`Schedule` frames from stray
 /// clients are answered with a protocol error rather than silence.
+///
+/// Each connection answers its forwards on its own thread: a
+/// [`TcpPeerLink`] has one forward in flight, so a worker pool would
+/// only add a hand-off.
 pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<MasterServer> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(MasterServerShared {
-        stop: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-        forwards: AtomicUsize::new(0),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::Builder::new()
-        .name("webcom-master-serve".to_string())
-        .spawn(move || {
-            while !accept_shared.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if accept_shared.stop.load(Ordering::SeqCst) {
-                            let _ = stream.shutdown(Shutdown::Both);
-                            break;
-                        }
-                        stream.set_nodelay(true).ok();
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        if let Ok(clone) = stream.try_clone() {
-                            accept_shared.conns.lock().push(clone);
-                        }
-                        let master = Arc::clone(&master);
-                        let shared = Arc::clone(&accept_shared);
-                        let _ = std::thread::Builder::new()
-                            .name("webcom-master-conn".to_string())
-                            .spawn(move || serve_peer_connection(stream, master, shared));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })?;
-    Ok(MasterServer {
-        local_addr,
-        shared,
-        accept_thread: Some(accept_thread),
-    })
-}
-
-fn serve_peer_connection(
-    mut stream: TcpStream,
-    master: Arc<WebComMaster>,
-    shared: Arc<MasterServerShared>,
-) {
-    while let Ok(request) = read_frame::<WireRequest, _>(&mut stream) {
-        let response = match request {
-            WireRequest::Forward { request, hops } => {
-                shared.forwards.fetch_add(1, Ordering::SeqCst);
-                WireResponse::ForwardReply(master.handle_forward(*request, hops))
-            }
-            WireRequest::Schedule(req) => WireResponse::Reply(ScheduleReply {
-                op_id: req.op_id,
-                client: "master".to_string(),
-                outcome: ExecOutcome::Failed(ExecError::protocol(
-                    "this endpoint serves master-to-master forwards, not client scheduling",
-                )),
-                replayed: false,
-            }),
-            // A typed error frame, not a fabricated ForwardReply: a
-            // lockstep/mux client that misdials a peer port must get a
-            // protocol error it can surface, never something that looks
-            // like a schedule reply.
-            WireRequest::Identify => WireResponse::Error(ExecError::protocol(
-                "this endpoint serves master-to-master forwards, not client identify",
+    let forwards = Arc::new(AtomicUsize::new(0));
+    let handler_forwards = Arc::clone(&forwards);
+    let handler = move |request| match request {
+        WireRequest::Forward { request, hops } => {
+            handler_forwards.fetch_add(1, Ordering::SeqCst);
+            WireResponse::ForwardReply(master.handle_forward(*request, hops))
+        }
+        WireRequest::Schedule(req) => WireResponse::Reply(ScheduleReply {
+            op_id: req.op_id,
+            client: "master".to_string(),
+            outcome: ExecOutcome::Failed(ExecError::protocol(
+                "this endpoint serves master-to-master forwards, not client scheduling",
             )),
-        };
-        if write_frame(&mut stream, &response).is_err() {
-            break;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
+            replayed: false,
+        }),
+        // A typed error frame, not a fabricated identity: a client that
+        // misdials a peer port must get a protocol error it can
+        // surface, never something that registers the master's own
+        // port as a schedulable client.
+        WireRequest::Identify => WireResponse::Error(ExecError::protocol(
+            "this endpoint serves master-to-master forwards, not client identify",
+        )),
+    };
+    let listener = Listener::spawn(addr, "webcom-master-serve".to_string(), 1, handler)?;
+    Ok(MasterServer { forwards, listener })
 }
 
 /// Routes bursts across a set of shard masters by principal, running
@@ -488,6 +377,7 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::authz::TrustManager;
 
     #[test]
     fn ring_is_deterministic_and_total() {
@@ -546,5 +436,23 @@ mod tests {
             "adding one shard to three moved {:.0}% of keys",
             frac * 100.0
         );
+    }
+
+    #[test]
+    fn peer_listener_untracks_closed_connections() {
+        let master = Arc::new(WebComMaster::new(
+            "Km",
+            Arc::new(TrustManager::permissive()),
+        ));
+        let server = serve_master(master, "127.0.0.1:0").unwrap();
+        for _ in 0..100 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        assert_eq!(
+            server.listener.tracked_after(Duration::from_secs(5)),
+            0,
+            "closed peer connections are still tracked"
+        );
+        server.stop();
     }
 }

@@ -73,9 +73,7 @@ pub use protocol::{
     ArithComponentExecutor, ClientIdentity, ComponentExecutor, ExecError, ExecErrorKind,
     ExecOutcome, ScheduleReply, ScheduleRequest, WireRequest, WireResponse, MAX_FORWARD_HOPS,
 };
-pub use transport::{
-    ChannelTransport, ClientTransport, FaultyTransport, TcpTransport, TransportError,
-};
+pub use transport::{ChannelTransport, ClientTransport, FaultyTransport, TransportError};
 pub use stamp::{StampIssuer, StampStats, StampVerifier};
 pub use wire::{
     decode_frame, encode_forward, encode_frame, encode_schedule, read_frame, write_encoded,

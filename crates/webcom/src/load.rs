@@ -11,15 +11,11 @@
 //! reflects how much concurrency the transport and dispatch layers
 //! keep in flight rather than how fast the host does arithmetic.
 //!
-//! The interesting comparisons, emitted by the `fig_load` bench into
-//! `BENCH_load.json`:
-//!
-//! * lockstep [`crate::TcpTransport`] vs pipelined
-//!   [`crate::MuxTransport`] on one shard — the mux win is latency
-//!   hiding on a single socket;
-//! * 1 → 2 → 4 shards under the mux — the sharding win is parallel
-//!   dispatch pipelines, one per shard, each with its own decision
-//!   cache and health model.
+//! The interesting comparison, emitted by the `fig_load` bench into
+//! `BENCH_load.json`, is 1 → 2 → 4 shards, each master reaching its
+//! client over a pipelined [`MuxTransport`]: the sharding win is
+//! parallel dispatch pipelines, one per shard, each with its own
+//! decision cache and health model.
 
 use crate::authz::{ScheduledAction, TrustManager};
 use crate::fabric::ShardRouter;
@@ -29,7 +25,6 @@ use crate::mux::MuxTransport;
 use crate::net::{serve_tcp_with, ServeOptions, TcpClientServer};
 use crate::protocol::{ArithComponentExecutor, ComponentExecutor, ExecError, ExecOutcome};
 use crate::stack::{AuthzStack, TrustLayer};
-use crate::transport::{ClientTransport, TcpTransport};
 use crate::{ClientConfig, ClientEngine, HealthConfig};
 use hetsec_graphs::Value;
 use hetsec_keynote::{
@@ -66,9 +61,6 @@ pub struct LoadConfig {
     pub ops: usize,
     /// Shard (master) count.
     pub shards: usize,
-    /// Pipelined [`MuxTransport`] when true, lockstep
-    /// [`crate::TcpTransport`] when false.
-    pub mux: bool,
     /// Mux in-flight window per connection.
     pub window: usize,
     /// Closed-loop caller population per shard (the master's burst
@@ -93,7 +85,6 @@ impl Default for LoadConfig {
             principals: 100_000,
             ops: 4_000,
             shards: 1,
-            mux: true,
             window: 32,
             callers: 4,
             pipeline: 8,
@@ -110,8 +101,6 @@ impl Default for LoadConfig {
 pub struct LoadReport {
     /// Shard count the fabric ran with.
     pub shards: usize,
-    /// Whether the mux transport was used.
-    pub mux: bool,
     /// Distinct principals in the compiled store.
     pub principals: usize,
     /// Ops driven.
@@ -266,8 +255,8 @@ struct Fabric {
 
 impl Fabric {
     /// Builds `cfg.shards` masters, each with one TCP serving client
-    /// (pipelined connection handling) reached over the configured
-    /// transport, and wires them into a [`ShardRouter`].
+    /// (pipelined connection handling) reached over a [`MuxTransport`],
+    /// and wires them into a [`ShardRouter`].
     fn build(cfg: &LoadConfig, stack: &Arc<AuthzStack>) -> Fabric {
         let master_keys: Vec<String> = (0..cfg.shards).map(|s| format!("Kmaster{s}")).collect();
         let master_trust = trust_keys(&master_keys);
@@ -303,12 +292,13 @@ impl Fabric {
                 max_in_flight: (cfg.window.max(cfg.callers) * 2).max(64),
                 ..HealthConfig::default()
             });
-            let transport: Arc<dyn ClientTransport> = if cfg.mux {
-                Arc::new(MuxTransport::new(server.local_addr()).with_window(cfg.window))
-            } else {
-                Arc::new(TcpTransport::new(server.local_addr()))
-            };
-            master.register_transport(format!("w{s}"), &worker_key, transport, vec!["Dom".into()]);
+            let transport = MuxTransport::new(server.local_addr()).with_window(cfg.window);
+            master.register_transport(
+                format!("w{s}"),
+                &worker_key,
+                Arc::new(transport),
+                vec!["Dom".into()],
+            );
             servers.push(server);
             masters.push(Arc::new(master));
         }
@@ -372,7 +362,6 @@ pub fn run_load_with_stack(cfg: &LoadConfig, stack: &Arc<AuthzStack>) -> LoadRep
     let stats = fabric.router.merged_stats();
     let report = LoadReport {
         shards: cfg.shards,
-        mux: cfg.mux,
         principals: cfg.principals,
         ops: total,
         completed,
@@ -460,7 +449,6 @@ mod tests {
             principals: 200,
             ops: 60,
             shards: 2,
-            mux: true,
             window: 8,
             callers: 2,
             pipeline: 4,
@@ -480,7 +468,6 @@ mod tests {
             principals: 100,
             ops: 40,
             shards: 1,
-            mux: true,
             window: 8,
             callers: 2,
             pipeline: 4,

@@ -33,11 +33,12 @@ use crate::client::ClientHandle;
 use crate::fabric::ShardInfo;
 use crate::health::{CallPermit, ClientHealth, HealthConfig, HealthSnapshot, Refusal};
 use crate::histogram::{LatencyHistogram, LatencySnapshot};
+use crate::mux::MuxTransport;
 use crate::stamp::{StampIssuer, StampVerifier};
 use crate::protocol::{
     ExecError, ExecErrorKind, ExecOutcome, ScheduleReply, ScheduleRequest, MAX_FORWARD_HOPS,
 };
-use crate::transport::{ChannelTransport, ClientTransport, TcpTransport, TransportError};
+use crate::transport::{ChannelTransport, ClientTransport, TransportError};
 use hetsec_graphs::{EngineError, OpExecutor, Value};
 use hetsec_keynote::ast::Assertion;
 use hetsec_middleware::component::ComponentRef;
@@ -484,9 +485,10 @@ impl WebComMaster {
 
     /// Dials a serving client at `addr`, performs the Identify
     /// handshake, and registers it under the identity and domains it
-    /// announced. Returns the client's announced name.
+    /// announced, reached through a [`MuxTransport`]. Returns the
+    /// client's announced name.
     pub fn register_tcp(&self, addr: SocketAddr) -> Result<String, ExecError> {
-        let transport = TcpTransport::new(addr);
+        let transport = MuxTransport::new(addr);
         let identity = transport
             .identify(self.op_timeout)
             .map_err(|e| e.to_exec_error())?;

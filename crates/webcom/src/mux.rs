@@ -1,22 +1,18 @@
-//! Pipelined multiplexed TCP transport.
+//! Pipelined multiplexed TCP transport: the master's one TCP
+//! [`ClientTransport`].
 //!
-//! [`crate::TcpTransport`] is lockstep: one request goes out, the
-//! caller blocks on the socket until that reply comes back, and every
-//! other caller queues on the connection mutex. Per-op cost is then
-//! `service time + RTT` no matter how many ops are ready — the
-//! single-socket scaling ceiling the ROADMAP calls out.
-//!
-//! [`MuxTransport`] splits the connection instead: one writer side
-//! (callers write frames under a short lock and return) and one
-//! dedicated reader thread that correlates every incoming reply to its
-//! waiting caller through a pending-reply table keyed by `op_id` — the
-//! wire format has carried the correlation id since PR 2, so the frames
-//! are unchanged and a mux client interoperates with any server. Many
-//! ops ride one socket concurrently, bounded by an in-flight *window*
-//! of tokens; the window composes with the master's per-client
-//! `CallPermit` quota (`HealthConfig::max_in_flight`) — the permit
-//! gates whether a dispatch may target the client at all, the window
-//! gates how many of the admitted calls may be on the wire at once.
+//! A transport that keeps one request on the wire at a time costs
+//! `service time + RTT` per op no matter how many ops are ready, with
+//! every other caller queued on the connection. [`MuxTransport`] splits
+//! the connection instead: one writer side (callers write frames under
+//! a short lock and return) and one dedicated reader thread that
+//! correlates every incoming reply to its waiting caller through a
+//! pending-reply table keyed by `op_id`. Many ops ride one socket
+//! concurrently, bounded by an in-flight *window* of tokens; the window
+//! composes with the master's per-client `CallPermit` quota
+//! (`HealthConfig::max_in_flight`) — the permit gates whether a
+//! dispatch may target the client at all, the window gates how many of
+//! the admitted calls may be on the wire at once.
 //!
 //! A batch ([`ClientTransport::call_batch`], how a condensed-graph wave
 //! reaches the wire) takes as many window slots as are free, registers
@@ -24,17 +20,20 @@
 //! collects the replies by `op_id`, a window at a time. A single call is
 //! a batch of one.
 //!
-//! Failure model: if the reader thread dies (peer reset, garbage
-//! frame, protocol violation), it marks the connection generation dead
-//! and fails every pending op with a retryable
-//! [`TransportError::Closed`] so the master's dispatch loop can retry
-//! or fail over; the next call connects a fresh generation. A reply
-//! arriving after its caller timed out is dropped silently — its
-//! pending entry is already gone.
+//! Failure model: if the reader thread dies it marks the connection
+//! generation dead and fails every pending op. A lost connection (peer
+//! reset, truncated frame) fails them with a retryable
+//! [`TransportError::Closed`], so the master's dispatch loop can retry
+//! or fail over, and the next call connects a fresh generation. A peer
+//! that speaks the protocol wrong (a frame that is not a schedule
+//! reply, or garbage) fails them with [`TransportError::Protocol`],
+//! which is not retried against the same peer. A reply arriving after
+//! its caller timed out is dropped silently — its pending entry is
+//! already gone.
 
-use crate::protocol::{ClientIdentity, ScheduleReply, ScheduleRequest};
-use crate::transport::{encode_error, ClientTransport, TcpTransport, TransportError};
-use crate::wire::{encode_schedule, read_frame, write_encoded};
+use crate::protocol::{ClientIdentity, ScheduleReply, ScheduleRequest, WireRequest};
+use crate::transport::{encode_error, exchange, ClientTransport, TransportError};
+use crate::wire::{encode_frame, encode_schedule, read_frame, write_encoded, WireError};
 use crate::WireResponse;
 use crossbeam::channel::{self, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -115,9 +114,10 @@ struct ConnState {
 
 impl ConnState {
     /// Marks the generation dead, severs the socket (waking the reader
-    /// if it is still alive), and fails every pending op with a
-    /// retryable error.
-    fn poison(&self, reason: &str) {
+    /// if it is still alive), and fails every pending op with the error
+    /// `kind` builds: `Closed` for a lost connection, `Protocol` for a
+    /// peer that broke the protocol.
+    fn poison(&self, kind: fn(String) -> TransportError, reason: &str) {
         if self.dead.swap(true, Ordering::SeqCst) {
             return; // already poisoned; pending already drained
         }
@@ -125,8 +125,8 @@ impl ConnState {
         let drained: Vec<(u64, Sender<ReplyResult>)> =
             self.pending.lock().drain().collect();
         for (op_id, tx) in drained {
-            let _ = tx.send(Err(TransportError::Closed(format!(
-                "mux connection lost with op {op_id} in flight: {reason}"
+            let _ = tx.send(Err(kind(format!(
+                "mux connection failed with op {op_id} in flight: {reason}"
             ))));
         }
     }
@@ -216,7 +216,7 @@ impl ConnState {
         let written = write_encoded(&mut *self.writer.lock(), &wire);
         if let Err(e) = written {
             self.withdraw(&outstanding);
-            self.poison(&format!("write failed: {e}"));
+            self.poison(TransportError::Closed, &format!("write failed: {e}"));
             return Err(TransportError::Closed(format!("mux write failed: {e}")));
         }
         let lost = loop {
@@ -297,12 +297,21 @@ impl MuxTransport {
         self.peer
     }
 
-    /// Registration handshake, over a throwaway lockstep connection so
-    /// it cannot interleave with pipelined replies.
+    /// Registration handshake: who is serving at the peer, and which
+    /// domains do they cover? It runs over a throwaway connection of its
+    /// own, so it cannot interleave with pipelined replies.
     pub fn identify(&self, timeout: Duration) -> Result<ClientIdentity, TransportError> {
-        TcpTransport::new(self.peer)
-            .with_connect_timeout(self.connect_timeout)
-            .identify(timeout)
+        let frame = encode_frame(&WireRequest::Identify).map_err(encode_error)?;
+        match exchange(&mut None, self.peer, &frame, timeout)? {
+            WireResponse::Identity(id) => Ok(id),
+            WireResponse::Error(e) => Err(TransportError::Protocol(e.detail)),
+            WireResponse::Reply(r) | WireResponse::ForwardReply(r) => {
+                Err(TransportError::Protocol(format!(
+                    "expected identity, got reply for op {}",
+                    r.op_id
+                )))
+            }
+        }
     }
 
     /// The live connection generation, connecting a fresh one if there
@@ -339,7 +348,7 @@ impl MuxTransport {
 /// Reads replies until the socket dies or the peer violates the
 /// protocol, routing each to its pending caller by `op_id`.
 fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>) {
-    let reason = loop {
+    let (kind, reason): (fn(String) -> TransportError, String) = loop {
         match read_frame::<WireResponse, _>(&mut stream) {
             Ok(WireResponse::Reply(reply)) => {
                 let waiter = conn.pending.lock().remove(&reply.op_id);
@@ -349,11 +358,19 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>) {
                 // No waiter: the caller timed out and withdrew; the
                 // late reply is dropped on the floor by design.
             }
-            Ok(other) => break format!("unexpected frame {other:?} on a mux connection"),
-            Err(e) => break e.to_string(),
+            Ok(other) => {
+                break (
+                    TransportError::Protocol,
+                    format!("unexpected frame {other:?} on a mux connection"),
+                )
+            }
+            Err(e @ (WireError::Truncated | WireError::Io(_))) => {
+                break (TransportError::Closed, e.to_string())
+            }
+            Err(e) => break (TransportError::Protocol, e.to_string()),
         }
     };
-    conn.poison(&reason);
+    conn.poison(kind, &reason);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -436,7 +453,7 @@ impl ClientTransport for MuxTransport {
 impl Drop for MuxTransport {
     fn drop(&mut self) {
         if let Some(conn) = self.conn.lock().take() {
-            conn.poison("transport dropped");
+            conn.poison(TransportError::Closed, "transport dropped");
         }
     }
 }
@@ -445,8 +462,7 @@ impl Drop for MuxTransport {
 mod tests {
     use super::*;
     use crate::authz::ScheduledAction;
-    use crate::protocol::{ExecOutcome, WireRequest};
-    use crate::wire::encode_frame;
+    use crate::protocol::ExecOutcome;
     use hetsec_graphs::Value;
     use hetsec_middleware::component::ComponentRef;
     use hetsec_middleware::naming::MiddlewareKind;
@@ -476,7 +492,7 @@ mod tests {
         // false here) when poison() sets the flag and drains the table —
         // the exact interleaving that used to orphan the entry.
         assert!(!conn.dead.load(Ordering::SeqCst));
-        conn.poison("peer reset during registration");
+        conn.poison(TransportError::Closed, "peer reset during registration");
         let (tx, rx) = channel::unbounded::<ReplyResult>();
         let started = Instant::now();
         let err = conn.register(7, tx).unwrap_err();
@@ -498,7 +514,7 @@ mod tests {
         let (conn, _peer) = loopback_conn();
         let (tx, rx) = channel::unbounded::<ReplyResult>();
         conn.register(9, tx).unwrap();
-        conn.poison("peer reset");
+        conn.poison(TransportError::Closed, "peer reset");
         match rx.try_recv() {
             Ok(Err(TransportError::Closed(reason))) => {
                 assert!(reason.contains("op 9"), "unexpected reason: {reason}");
@@ -518,7 +534,7 @@ mod tests {
         assert!(matches!(err, TransportError::DuplicateOp(11)), "{err:?}");
         assert!(!err.to_exec_error().retryable);
         // The first caller still owns the entry: the drain reaches it.
-        conn.poison("peer reset");
+        conn.poison(TransportError::Closed, "peer reset");
         assert!(matches!(first_rx.try_recv(), Ok(Err(TransportError::Closed(_)))));
     }
 

@@ -1,13 +1,21 @@
-//! TCP frontend for a client engine: the network half of the
-//! master/client fabric.
+//! TCP frontends of the master/client fabric.
 //!
 //! [`serve_tcp`] puts a [`ClientEngine`] behind a listener speaking the
-//! length-prefixed wire protocol ([`crate::wire`]). Each connection is
-//! served by its own thread: an `Identify` frame is answered with the
-//! client's [`ClientIdentity`] (the registration handshake), a
-//! `Schedule` frame runs the engine's full mutual mediation and answers
-//! with the correlated reply. Malformed, oversized or truncated frames
-//! close the connection — they never panic the server.
+//! length-prefixed wire protocol ([`crate::wire`]): an `Identify` frame
+//! is answered with the client's [`ClientIdentity`] (the registration
+//! handshake), a `Schedule` frame runs the engine's full mutual
+//! mediation and answers with the correlated reply. The master's peer
+//! listener ([`crate::serve_master`]) is the same listener with another
+//! handler.
+//!
+//! Both run on one listener core: an accept thread, a stop flag, and
+//! the set of live connections, each served by its own thread. A
+//! connection's thread reads request frames and answers each with the
+//! server's handler, either itself (`pipeline` 1) or through a pool of
+//! `pipeline` workers that write replies, in completion order, under a
+//! shared writer lock. Malformed, oversized or truncated frames close
+//! the connection — they never panic the server — and a closed
+//! connection leaves the tracked set.
 //!
 //! The returned [`TcpClientServer`] can [`stop`](TcpClientServer::stop)
 //! (orderly) or [`kill`](TcpClientServer::kill) (abrupt, severing live
@@ -16,39 +24,249 @@
 
 use crate::client::ClientEngine;
 use crate::protocol::{
-    ClientIdentity, ExecError, ExecOutcome, ScheduleReply, ScheduleRequest, WireRequest,
-    WireResponse,
+    ClientIdentity, ExecError, ExecOutcome, ScheduleReply, WireRequest, WireResponse,
 };
-use crate::wire::{encode_frame, read_frame, write_encoded, write_frame};
+use crate::wire::{encode_frame, read_frame, write_encoded};
 use hetsec_rbac::Domain;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Shared shutdown state between the server handle and its threads.
-struct ServerShared {
+/// State a listener shares with its accept and connection threads.
+struct ListenerState {
     stop: AtomicBool,
-    /// `try_clone`d handles of live connections, so `kill` can sever
-    /// them while handler threads are blocked reading.
-    conns: Mutex<Vec<TcpStream>>,
-    served: AtomicUsize,
+    /// `try_clone`d handles of live connections by connection number,
+    /// so `shutdown` can sever them while their threads are blocked
+    /// reading. A connection's thread removes its own entry when it
+    /// ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+/// A bound listener with its accept thread, answering every request
+/// frame through one handler. Dropping it shuts it down.
+pub(crate) struct Listener {
+    local_addr: SocketAddr,
+    state: Arc<ListenerState>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `addr` and serves each accepted connection with `handler`,
+    /// `pipeline` frames at a time (see [`ServeOptions::pipeline`]).
+    pub(crate) fn spawn<H>(
+        addr: &str,
+        name: String,
+        pipeline: usize,
+        handler: H,
+    ) -> std::io::Result<Listener>
+    where
+        H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let state = Arc::new(ListenerState {
+            stop: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+        });
+        let accept_state = Arc::clone(&state);
+        let handler = Arc::new(handler);
+        let accept_thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || accept_loop(listener, handler, pipeline, accept_state))?;
+        Ok(Listener {
+            local_addr,
+            state,
+            accept_thread: Some(accept_thread),
+        })
+    }
+
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting, severs every live connection, and joins the
+    /// accept thread. Requests in flight on a severed connection
+    /// surface to the caller as transport errors.
+    pub(crate) fn shutdown(&mut self) {
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
+        self.state.stop.store(true, Ordering::SeqCst);
+        for (_, conn) in self.state.conns.lock().drain() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        // Wake the accept loop (it polls, but connecting is faster).
+        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(100));
+        let _ = accept_thread.join();
+    }
+
+    /// Connections tracked as live, polled until there are none or
+    /// `wait` has passed: closed connections leave the set
+    /// asynchronously, as their threads end.
+    #[cfg(test)]
+    pub(crate) fn tracked_after(&self, wait: Duration) -> usize {
+        let deadline = std::time::Instant::now() + wait;
+        loop {
+            let tracked = self.state.conns.lock().len();
+            if tracked == 0 || std::time::Instant::now() >= deadline {
+                return tracked;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn accept_loop<H>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    pipeline: usize,
+    state: Arc<ListenerState>,
+) where
+    H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+{
+    let mut next_id = 0u64;
+    while !state.stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                stream.set_nodelay(true).ok();
+                // Blocking I/O on the connection side; the accept
+                // socket stays nonblocking.
+                if stream.set_nonblocking(false).is_err() {
+                    continue;
+                }
+                let Ok(tracked) = stream.try_clone() else {
+                    continue;
+                };
+                let id = next_id;
+                next_id += 1;
+                {
+                    // Checked under the lock `shutdown` drains with, so
+                    // a connection is either drained or never tracked.
+                    let mut conns = state.conns.lock();
+                    if state.stop.load(Ordering::SeqCst) {
+                        let _ = stream.shutdown(Shutdown::Both);
+                        break;
+                    }
+                    conns.insert(id, tracked);
+                }
+                let handler = Arc::clone(&handler);
+                let conn_state = Arc::clone(&state);
+                let spawned = std::thread::Builder::new()
+                    .name("webcom-conn".to_string())
+                    .spawn(move || {
+                        connection_loop(stream, handler, pipeline, &conn_state.stop);
+                        conn_state.conns.lock().remove(&id);
+                    });
+                if spawned.is_err() {
+                    state.conns.lock().remove(&id);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(_) => break,
+        }
+    }
+}
+
+/// Answers one request frame: runs the handler, encodes the reply
+/// outside the writer lock, and writes it under the lock. False once
+/// the connection can take no more replies.
+fn answer<H>(handler: &H, writer: &Mutex<TcpStream>, request: WireRequest) -> bool
+where
+    H: Fn(WireRequest) -> WireResponse,
+{
+    let frame = encode_frame(&handler(request));
+    let mut writer = writer.lock();
+    if frame.and_then(|f| write_encoded(&mut *writer, &f)).is_err() {
+        let _ = writer.shutdown(Shutdown::Both);
+        return false;
+    }
+    true
+}
+
+/// Serves one connection until the peer hangs up, sends garbage, or the
+/// listener stops. With `pipeline` 1 this thread answers each frame
+/// before reading the next; with more, frames queue to `pipeline`
+/// workers and replies go out as they complete, so the client must
+/// correlate them by `op_id`.
+fn connection_loop<H>(mut stream: TcpStream, handler: Arc<H>, pipeline: usize, stop: &AtomicBool)
+where
+    H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+{
+    let Ok(writer) = stream.try_clone() else {
+        let _ = stream.shutdown(Shutdown::Both);
+        return;
+    };
+    let writer = Arc::new(Mutex::new(writer));
+    let mut queue = None;
+    let mut workers = Vec::new();
+    if pipeline > 1 {
+        let (tx, rx) = crossbeam::channel::unbounded::<WireRequest>();
+        // The vendored receiver is `!Sync`: workers share it under a
+        // lock held only while dequeueing.
+        let rx = Arc::new(Mutex::new(rx));
+        for _ in 0..pipeline {
+            let rx = Arc::clone(&rx);
+            let writer = Arc::clone(&writer);
+            let handler = Arc::clone(&handler);
+            let spawned = std::thread::Builder::new()
+                .name("webcom-conn-worker".to_string())
+                .spawn(move || loop {
+                    // A `let` statement drops the receiver guard before
+                    // the answer, so workers answer concurrently.
+                    let Ok(request) = rx.lock().recv() else {
+                        break; // reader gone, queue drained
+                    };
+                    if !answer(&*handler, &writer, request) {
+                        break;
+                    }
+                });
+            workers.extend(spawned.ok());
+        }
+        // With no worker left to hold the receiver, queueing fails and
+        // the connection closes.
+        queue = Some(tx);
+    }
+    while let Ok(request) = read_frame::<WireRequest, _>(&mut stream) {
+        let alive = match &queue {
+            Some(queue) => queue.send(request).is_ok(),
+            None => answer(&*handler, &writer, request),
+        };
+        if !alive || stop.load(Ordering::SeqCst) {
+            break;
+        }
+    }
+    // Closing the queue lets workers drain in-flight requests and exit.
+    drop(queue);
+    for worker in workers {
+        let _ = worker.join();
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// A running TCP client server.
 pub struct TcpClientServer {
     engine: Arc<ClientEngine>,
-    local_addr: SocketAddr,
-    shared: Arc<ServerShared>,
-    accept_thread: Option<JoinHandle<()>>,
+    served: Arc<AtomicUsize>,
+    listener: Listener,
 }
 
 impl TcpClientServer {
     /// The address the server is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The engine behind the listener.
@@ -58,7 +276,7 @@ impl TcpClientServer {
 
     /// Schedule frames answered so far.
     pub fn served(&self) -> usize {
-        self.shared.served.load(Ordering::SeqCst)
+        self.served.load(Ordering::SeqCst)
     }
 
     /// Requests answered from the engine's executed-op memo instead of
@@ -72,7 +290,7 @@ impl TcpClientServer {
     /// accept thread. In-flight requests on severed connections surface
     /// to the master as transport errors (it reschedules them).
     pub fn stop(mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 
     /// Simulates a crash: identical to [`stop`](Self::stop), named for
@@ -81,40 +299,19 @@ impl TcpClientServer {
     /// client mid-burst and assert the master completes every operation
     /// on a survivor.
     pub fn kill(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for conn in self.shared.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Wake the accept loop (it polls, but connecting is faster).
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(100));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpClientServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shutdown();
-        }
+        self.listener.shutdown();
     }
 }
 
 /// Per-connection serving options.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// Schedule frames a single connection may be executing at once.
-    /// 1 (the default) keeps the classic sequential read→handle→write
-    /// loop; larger values give each connection a worker pool so a
-    /// pipelined transport ([`crate::MuxTransport`]) can keep many ops
-    /// in flight down one socket. Replies are then written as they
-    /// complete — out of order — which only a transport that correlates
-    /// by `op_id` may consume.
+    /// Request frames a single connection may be handling at once.
+    /// 1 (the default) answers each frame before reading the next;
+    /// larger values give each connection a worker pool so
+    /// [`crate::MuxTransport`] can keep many ops in flight down one
+    /// socket. Replies are then written as they complete — out of
+    /// order — and the mux correlates them by `op_id`.
     pub pipeline: usize,
 }
 
@@ -142,206 +339,38 @@ pub fn serve_tcp_with(
     addr: &str,
     opts: ServeOptions,
 ) -> std::io::Result<TcpClientServer> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(ServerShared {
-        stop: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-        served: AtomicUsize::new(0),
-    });
     let identity = ClientIdentity {
         name: engine.name().to_string(),
         key_text: engine.key_text().to_string(),
         domains,
     };
-    let accept_engine = Arc::clone(&engine);
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::Builder::new()
-        .name(format!("webcom-serve-{}", engine.name()))
-        .spawn(move || {
-            accept_loop(listener, accept_engine, identity, accept_shared, opts);
-        })?;
+    let served = Arc::new(AtomicUsize::new(0));
+    let handler_engine = Arc::clone(&engine);
+    let handler_served = Arc::clone(&served);
+    let handler = move |request| match request {
+        WireRequest::Identify => WireResponse::Identity(identity.clone()),
+        WireRequest::Schedule(req) => {
+            let reply = handler_engine.handle(&req);
+            handler_served.fetch_add(1, Ordering::SeqCst);
+            WireResponse::Reply(reply)
+        }
+        // Clients execute for masters; only masters route for masters.
+        WireRequest::Forward { request, .. } => WireResponse::ForwardReply(ScheduleReply {
+            op_id: request.op_id,
+            client: "client".to_string(),
+            outcome: ExecOutcome::Failed(ExecError::protocol(
+                "Forward frames are master-to-master; this endpoint is a client",
+            )),
+            replayed: false,
+        }),
+    };
+    let name = format!("webcom-serve-{}", engine.name());
+    let listener = Listener::spawn(addr, name, opts.pipeline, handler)?;
     Ok(TcpClientServer {
         engine,
-        local_addr,
-        shared,
-        accept_thread: Some(accept_thread),
+        served,
+        listener,
     })
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<ClientEngine>,
-    identity: ClientIdentity,
-    shared: Arc<ServerShared>,
-    opts: ServeOptions,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    break;
-                }
-                stream.set_nodelay(true).ok();
-                // Blocking I/O on the handler side; the accept socket
-                // stays nonblocking.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().push(clone);
-                }
-                let engine = Arc::clone(&engine);
-                let identity = identity.clone();
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("webcom-conn".to_string())
-                    .spawn(move || {
-                        if opts.pipeline > 1 {
-                            serve_connection_pipelined(
-                                stream,
-                                engine,
-                                identity,
-                                shared,
-                                opts.pipeline,
-                            )
-                        } else {
-                            serve_connection(stream, engine, identity, shared)
-                        }
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// The answer a client gives a peer-routed `Forward` frame: clients
-/// execute for masters; only masters route for masters.
-fn forward_misdirected(req: &ScheduleRequest) -> WireResponse {
-    WireResponse::ForwardReply(ScheduleReply {
-        op_id: req.op_id,
-        client: "client".to_string(),
-        outcome: ExecOutcome::Failed(ExecError::protocol(
-            "Forward frames are master-to-master; this endpoint is a client",
-        )),
-        replayed: false,
-    })
-}
-
-/// Serves one connection until the peer hangs up, sends garbage, or the
-/// server shuts down. Every exit path is a clean return — wire errors
-/// close the connection, they never panic.
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: Arc<ClientEngine>,
-    identity: ClientIdentity,
-    shared: Arc<ServerShared>,
-) {
-    // Truncated covers the peer closing; Malformed/Oversized cover
-    // garbage. Either way: drop the connection.
-    while let Ok(request) = read_frame::<WireRequest, _>(&mut stream) {
-        let response = match request {
-            WireRequest::Identify => WireResponse::Identity(identity.clone()),
-            WireRequest::Schedule(req) => {
-                let reply = engine.handle(&req);
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                WireResponse::Reply(reply)
-            }
-            WireRequest::Forward { request, .. } => forward_misdirected(&request),
-        };
-        if write_frame(&mut stream, &response).is_err() {
-            break;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Pipelined variant: one reader (this thread) plus `pipeline` workers
-/// executing Schedule frames concurrently and writing replies — in
-/// completion order — through a shared writer half. The transport on
-/// the other side must correlate replies by `op_id`.
-fn serve_connection_pipelined(
-    mut stream: TcpStream,
-    engine: Arc<ClientEngine>,
-    identity: ClientIdentity,
-    shared: Arc<ServerShared>,
-    pipeline: usize,
-) {
-    let Ok(writer) = stream.try_clone() else {
-        // Cannot split the socket: fall back to sequential serving.
-        return serve_connection(stream, engine, identity, shared);
-    };
-    let writer = Arc::new(Mutex::new(writer));
-    let (tx, rx) = crossbeam::channel::unbounded::<Box<ScheduleRequest>>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(pipeline);
-    for _ in 0..pipeline {
-        let rx = Arc::clone(&rx);
-        let writer = Arc::clone(&writer);
-        let engine = Arc::clone(&engine);
-        let shared = Arc::clone(&shared);
-        let Ok(worker) = std::thread::Builder::new()
-            .name("webcom-conn-worker".to_string())
-            .spawn(move || loop {
-                // Hold the receiver lock only while dequeueing so
-                // workers handle requests concurrently.
-                let req = match rx.lock().recv() {
-                    Ok(req) => req,
-                    Err(_) => break, // reader gone, queue drained
-                };
-                let reply = engine.handle(&req);
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                // Encode outside the writer lock so workers serialise
-                // replies in parallel and queue only for the write.
-                let frame = encode_frame(&WireResponse::Reply(reply));
-                let mut w = writer.lock();
-                if frame.and_then(|f| write_encoded(&mut *w, &f)).is_err() {
-                    let _ = w.shutdown(Shutdown::Both);
-                    break;
-                }
-            })
-        else {
-            break;
-        };
-        workers.push(worker);
-    }
-    while let Ok(request) = read_frame::<WireRequest, _>(&mut stream) {
-        let response = match request {
-            WireRequest::Identify => Some(WireResponse::Identity(identity.clone())),
-            WireRequest::Schedule(req) => {
-                if tx.send(req).is_err() {
-                    break; // every worker died
-                }
-                None
-            }
-            WireRequest::Forward { request, .. } => Some(forward_misdirected(&request)),
-        };
-        if let Some(response) = response {
-            let Ok(frame) = encode_frame(&response) else {
-                break;
-            };
-            if write_encoded(&mut *writer.lock(), &frame).is_err() {
-                break;
-            }
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    // Closing the queue lets workers drain in-flight requests and exit.
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
-    }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -349,9 +378,10 @@ mod tests {
     use super::*;
     use crate::authz::{ScheduledAction, TrustManager};
     use crate::client::{ClientConfig, ClientEngine};
-    use crate::protocol::{ArithComponentExecutor, ExecOutcome, ScheduleRequest};
+    use crate::mux::MuxTransport;
+    use crate::protocol::{ArithComponentExecutor, ScheduleRequest};
     use crate::stack::{AuthzStack, TrustLayer};
-    use crate::transport::TcpTransport;
+    use crate::transport::{ClientTransport, TransportError};
     use crate::wire::write_frame as wire_write;
     use hetsec_graphs::Value;
     use hetsec_middleware::component::ComponentRef;
@@ -402,12 +432,11 @@ mod tests {
     #[test]
     fn identify_then_schedule_over_tcp() {
         let server = serve_tcp(engine("c1", "Kc1"), vec!["Dom".into()], "127.0.0.1:0").unwrap();
-        let transport = TcpTransport::new(server.local_addr());
+        let transport = MuxTransport::new(server.local_addr());
         let id = transport.identify(Duration::from_secs(5)).unwrap();
         assert_eq!(id.name, "c1");
         assert_eq!(id.key_text, "Kc1");
         assert_eq!(id.domains, vec![Domain::from("Dom")]);
-        use crate::transport::ClientTransport;
         let reply = transport.call(&request(1), Duration::from_secs(5)).unwrap();
         assert_eq!(reply.op_id, 1);
         assert_eq!(reply.outcome, ExecOutcome::Ok(Value::Int(42)));
@@ -427,8 +456,7 @@ mod tests {
         let mut wrong = TcpStream::connect(server.local_addr()).unwrap();
         wire_write(&mut wrong, &42u64).unwrap();
         // The server must still answer a well-formed connection.
-        let transport = TcpTransport::new(server.local_addr());
-        use crate::transport::ClientTransport;
+        let transport = MuxTransport::new(server.local_addr());
         let reply = transport.call(&request(5), Duration::from_secs(5)).unwrap();
         assert!(reply.outcome.is_ok());
         server.stop();
@@ -438,8 +466,7 @@ mod tests {
     fn killed_server_resets_connections() {
         let server = serve_tcp(engine("c1", "Kc1"), vec!["Dom".into()], "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
-        let transport = TcpTransport::new(addr);
-        use crate::transport::ClientTransport;
+        let transport = MuxTransport::new(addr);
         assert!(transport.call(&request(1), Duration::from_secs(5)).is_ok());
         server.kill();
         // The established connection is gone and reconnecting fails (or
@@ -447,6 +474,32 @@ mod tests {
         let err = transport
             .call(&request(2), Duration::from_millis(500))
             .unwrap_err();
-        assert!(!matches!(err, crate::transport::TransportError::Protocol(_)), "{err:?}");
+        assert!(!matches!(err, TransportError::Protocol(_)), "{err:?}");
+    }
+
+    #[test]
+    fn closed_connections_leave_the_tracked_set() {
+        for pipeline in [1, 4] {
+            let server = serve_tcp_with(
+                engine("c1", "Kc1"),
+                vec!["Dom".into()],
+                "127.0.0.1:0",
+                ServeOptions { pipeline },
+            )
+            .unwrap();
+            for _ in 0..100 {
+                drop(TcpStream::connect(server.local_addr()).unwrap());
+            }
+            // A connection that was answered leaves the set too.
+            let transport = MuxTransport::new(server.local_addr());
+            assert!(transport.call(&request(1), Duration::from_secs(5)).is_ok());
+            drop(transport);
+            assert_eq!(
+                server.listener.tracked_after(Duration::from_secs(5)),
+                0,
+                "pipeline {pipeline}: closed connections are still tracked"
+            );
+            server.stop();
+        }
     }
 }

@@ -5,21 +5,24 @@
 //! independent requests, [`ClientTransport::call_batch`]), with replies
 //! correlated to requests by `op_id`. Two real implementations exist —
 //! [`ChannelTransport`] over the in-process channel fabric (the fast
-//! path, and what tests use) and [`TcpTransport`] over a length-prefixed
-//! TCP wire protocol (see [`crate::wire`]) — plus [`FaultyTransport`],
-//! a wrapper that injects drops, delays and crashes at the transport
-//! level for fault-tolerance tests and benches.
+//! path, and what tests use) and [`crate::MuxTransport`], which
+//! pipelines many requests down one TCP connection speaking the
+//! length-prefixed wire protocol (see [`crate::wire`]) — plus
+//! [`FaultyTransport`], a wrapper that injects drops, delays and
+//! crashes at the transport level for fault-tolerance tests and benches.
+//!
+//! `exchange` is the one-request-per-connection form of that wire
+//! protocol, for the paths that never need more in flight: the
+//! registration handshake and the master-to-master peer link.
 
 use crate::client::ClientMessage;
-use crate::protocol::{
-    ClientIdentity, ExecError, ScheduleReply, ScheduleRequest, WireRequest, WireResponse,
-};
-use crate::wire::{encode_frame, encode_schedule, read_frame, write_encoded, WireError};
+use crate::protocol::{ExecError, ScheduleReply, ScheduleRequest, WireResponse};
+use crate::wire::{read_frame, write_encoded, WireError};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a transport call failed.
 #[derive(Clone, Debug)]
@@ -164,7 +167,7 @@ impl ClientTransport for ChannelTransport {
     }
 }
 
-// ---- TCP transport ----
+// ---- Framed TCP exchange ----
 
 /// A frame this side could not encode (nesting past the depth cap): a
 /// protocol error, raised before anything touches the socket.
@@ -172,180 +175,45 @@ pub(crate) fn encode_error(e: WireError) -> TransportError {
     TransportError::Protocol(format!("cannot encode frame: {e}"))
 }
 
-/// How many stale (previously timed-out) replies a call will skip while
-/// looking for its own `op_id`. Connections are dropped on timeout, so
-/// in practice this is only exercised by misbehaving peers.
-const MAX_STALE_REPLIES: usize = 8;
-
-/// A connection-per-client TCP transport speaking the length-prefixed
-/// wire protocol. The connection is established lazily, serialised by a
-/// mutex (one in-flight exchange per connection), and dropped on any
-/// failure so the next call reconnects from scratch.
-pub struct TcpTransport {
+/// One request/response exchange over `conn`: dials `peer` if there is
+/// no connection, bounds the write and the read by `timeout`, writes
+/// `frame` and reads one frame back. A missed deadline is a timeout, a
+/// truncated frame or socket error a lost connection, and anything else
+/// (a malformed or oversized frame) the peer speaking the protocol
+/// wrong. Any failure drops the connection, since it leaves the framing
+/// in an unknown state (or a late reply in flight); the next exchange
+/// dials afresh. Callers that keep `conn` between exchanges get one
+/// request in flight per connection.
+pub(crate) fn exchange(
+    conn: &mut Option<TcpStream>,
     peer: SocketAddr,
-    connect_timeout: Duration,
-    stream: Mutex<Option<TcpStream>>,
-}
-
-impl TcpTransport {
-    /// A transport dialing `peer` (connection made on first use).
-    pub fn new(peer: SocketAddr) -> Self {
-        TcpTransport {
-            peer,
-            connect_timeout: Duration::from_secs(5),
-            stream: Mutex::new(None),
+    frame: &[u8],
+    timeout: Duration,
+) -> Result<WireResponse, TransportError> {
+    if conn.is_none() {
+        let stream = TcpStream::connect_timeout(&peer, timeout)
+            .map_err(|e| TransportError::Unreachable(format!("{peer}: {e}")))?;
+        stream.set_nodelay(true).ok();
+        *conn = Some(stream);
+    }
+    let stream = conn.as_mut().expect("connected above");
+    let result = stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .map_err(WireError::Io)
+        .and_then(|()| write_encoded(stream, frame))
+        .and_then(|()| read_frame(stream))
+        .map_err(|e| match e {
+            e if e.is_timeout() => TransportError::Timeout(timeout),
+            WireError::Truncated | WireError::Io(_) => TransportError::Closed(e.to_string()),
+            other => TransportError::Protocol(other.to_string()),
+        });
+    if result.is_err() {
+        if let Some(stream) = conn.take() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
-
-    /// Overrides the connect timeout.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// The peer address.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Connects and performs the registration handshake: who is serving
-    /// at `peer`, and which domains do they cover?
-    pub fn identify(&self, timeout: Duration) -> Result<ClientIdentity, TransportError> {
-        let frame = encode_frame(&WireRequest::Identify).map_err(encode_error)?;
-        match self.exchange(&frame, timeout)? {
-            WireResponse::Identity(id) => Ok(id),
-            WireResponse::Error(e) => Err(TransportError::Protocol(e.detail)),
-            WireResponse::Reply(r) | WireResponse::ForwardReply(r) => {
-                Err(TransportError::Protocol(format!(
-                    "expected identity, got reply for op {}",
-                    r.op_id
-                )))
-            }
-        }
-    }
-
-    /// One framed request/response exchange under the connection lock.
-    fn exchange(&self, frame: &[u8], timeout: Duration) -> Result<WireResponse, TransportError> {
-        let mut guard = self.stream.lock();
-        if guard.is_none() {
-            let stream = TcpStream::connect_timeout(&self.peer, self.connect_timeout)
-                .map_err(|e| TransportError::Unreachable(format!("{}: {e}", self.peer)))?;
-            stream.set_nodelay(true).ok();
-            *guard = Some(stream);
-        }
-        let stream = guard.as_mut().expect("connection just ensured");
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| TransportError::Protocol(format!("set_read_timeout: {e}")))?;
-        let result = Self::exchange_on(stream, frame, timeout);
-        if result.is_err() {
-            // Drop the connection: a failed exchange leaves it in an
-            // unknown framing state (or with a late reply in flight).
-            *guard = None;
-        }
-        result
-    }
-
-    fn exchange_on(
-        stream: &mut TcpStream,
-        frame: &[u8],
-        timeout: Duration,
-    ) -> Result<WireResponse, TransportError> {
-        write_encoded(stream, frame).map_err(|e| match e {
-            WireError::Io(ref io) if io.kind() == std::io::ErrorKind::BrokenPipe => {
-                TransportError::Closed(e.to_string())
-            }
-            WireError::Truncated => TransportError::Closed("peer closed while sending".into()),
-            other => TransportError::Closed(other.to_string()),
-        })?;
-        read_frame(stream).map_err(|e| {
-            if e.is_timeout() {
-                TransportError::Timeout(timeout)
-            } else {
-                match e {
-                    WireError::Truncated => {
-                        TransportError::Closed("peer closed mid-reply".to_string())
-                    }
-                    WireError::Io(io) => TransportError::Closed(io.to_string()),
-                    other => TransportError::Protocol(other.to_string()),
-                }
-            }
-        })
-    }
-}
-
-impl ClientTransport for TcpTransport {
-    fn call(
-        &self,
-        request: &ScheduleRequest,
-        timeout: Duration,
-    ) -> Result<ScheduleReply, TransportError> {
-        let started = Instant::now();
-        let frame = encode_schedule(request).map_err(encode_error)?;
-        let mut response = self.exchange(&frame, timeout)?;
-        // Correlate by op_id: skip stale replies (an earlier call that
-        // timed out after the client already queued its answer). The
-        // whole drain runs under the call's single deadline — each
-        // skipped frame shrinks the next read's budget rather than
-        // re-arming the full timeout, so a misbehaving peer cannot
-        // stretch one call to `MAX_STALE_REPLIES × timeout`.
-        for _ in 0..MAX_STALE_REPLIES {
-            match response {
-                WireResponse::Reply(reply) if reply.op_id == request.op_id => return Ok(reply),
-                WireResponse::Reply(stale) if stale.op_id < request.op_id => {
-                    let mut guard = self.stream.lock();
-                    let Some(stream) = guard.as_mut() else {
-                        return Err(TransportError::Closed("connection dropped".to_string()));
-                    };
-                    let Some(remaining) = timeout
-                        .checked_sub(started.elapsed())
-                        .filter(|r| !r.is_zero())
-                    else {
-                        *guard = None;
-                        return Err(TransportError::Timeout(timeout));
-                    };
-                    if let Err(e) = stream.set_read_timeout(Some(remaining)) {
-                        *guard = None;
-                        return Err(TransportError::Protocol(format!("set_read_timeout: {e}")));
-                    }
-                    response = read_frame(stream).map_err(|e| {
-                        *guard = None;
-                        if e.is_timeout() {
-                            TransportError::Timeout(timeout)
-                        } else {
-                            TransportError::Closed(e.to_string())
-                        }
-                    })?;
-                }
-                WireResponse::Reply(reply) => {
-                    *self.stream.lock() = None;
-                    return Err(TransportError::Protocol(format!(
-                        "reply for future op {} while awaiting op {}",
-                        reply.op_id, request.op_id
-                    )));
-                }
-                WireResponse::Error(e) => {
-                    *self.stream.lock() = None;
-                    return Err(TransportError::Protocol(e.detail));
-                }
-                WireResponse::Identity(_) | WireResponse::ForwardReply(_) => {
-                    *self.stream.lock() = None;
-                    return Err(TransportError::Protocol(
-                        "unexpected frame while awaiting a schedule reply".to_string(),
-                    ));
-                }
-            }
-        }
-        *self.stream.lock() = None;
-        Err(TransportError::Protocol(format!(
-            "gave up correlating op {} after {MAX_STALE_REPLIES} stale replies",
-            request.op_id
-        )))
-    }
-
-    fn describe(&self) -> String {
-        format!("tcp://{}", self.peer)
-    }
+    result
 }
 
 // ---- Fault injection ----

@@ -48,10 +48,9 @@ for series in stamp_cold_verify stamp_represent stamp_memoized; do
 done
 
 # The load summary must carry throughput and latency-quantile series
-# for every fabric shape the scaling claims compare: lockstep vs mux at
-# 1/2/4 shards.
-for shape in lockstep_shards1 lockstep_shards2 lockstep_shards4 \
-             mux_shards1 mux_shards2 mux_shards4; do
+# for every fabric shape the scaling claim compares: mux at 1/2/4
+# shards.
+for shape in mux_shards1 mux_shards2 mux_shards4; do
     for metric in throughput p50 p99 p999; do
         grep -q "\"id\": \"fig_load/${metric}/${shape}\"" BENCH_load.json \
             || { echo "bench.sh: BENCH_load.json is missing fig_load/${metric}/${shape}"; exit 1; }

@@ -77,6 +77,12 @@ echo "== batch-equivalence smoke (decide_batch === per-request decide) =="
 timeout 120 cargo test -q --test batch_equivalence
 timeout 120 cargo test -q --test hotpath_equivalence -- batch
 
+echo "== listener bookkeeping: closed connections leave the tracked set =="
+timeout 120 cargo test -q -p hetsec-webcom --lib -- closed_connections_leave_the_tracked_set peer_listener_untracks_closed_connections
+
+echo "== perfbench builds against the public API =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (-D warnings): whole workspace, all targets =="
 cargo clippy --no-deps --workspace --all-targets -- -D warnings
 

@@ -6,8 +6,8 @@ use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     decode_frame, encode_frame, serve_tcp, spawn_client, ArithComponentExecutor, AuthzStack,
     Binding, BreakerState, ChannelTransport, ClientConfig, ClientEngine, ClientTransport,
-    ComponentExecutor, ExecError, ExecOutcome, FaultyTransport, HealthConfig, RetryPolicy,
-    ScheduleRequest, ScheduledAction, TcpClientServer, TcpTransport, TrustManager, WebComMaster,
+    ComponentExecutor, ExecError, ExecOutcome, FaultyTransport, HealthConfig, MuxTransport,
+    RetryPolicy, ScheduleRequest, ScheduledAction, TcpClientServer, TrustManager, WebComMaster,
     WireError, WireRequest, WireResponse,
 };
 use hetsec_graphs::Value;
@@ -160,7 +160,7 @@ fn delayed_transport_times_out_and_fails_over() {
     .with_retry_policy(RetryPolicy::none());
     // The injected delay exceeds the deadline, so the wrapped transport
     // is never consulted — any peer address will do.
-    let slow = FaultyTransport::new(TcpTransport::new(c2.local_addr()));
+    let slow = FaultyTransport::new(MuxTransport::new(c2.local_addr()));
     slow.set_delay(Duration::from_millis(80));
     master.register_transport("slow", "Kc1", Arc::new(slow), vec!["Dom".into()]);
     master.register_tcp(c2.local_addr()).unwrap();
@@ -455,7 +455,9 @@ fn oversized_and_garbage_frames_error_never_panic() {
 #[test]
 fn tcp_transport_reports_protocol_violation_for_alien_replies() {
     // A fake "client" that answers every frame with an Identity frame:
-    // schedule calls must surface a protocol error, not hang or panic.
+    // schedule calls must surface a protocol error, not hang or panic,
+    // and not the retryable `Closed` of a lost connection — retrying
+    // would only ask the same misbehaving peer again.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
@@ -472,7 +474,7 @@ fn tcp_transport_reports_protocol_violation_for_alien_replies() {
             }
         }
     });
-    let transport = TcpTransport::new(addr);
+    let transport = MuxTransport::new(addr);
     let request = ScheduleRequest {
         op_id: 3,
         action: ScheduledAction::new(

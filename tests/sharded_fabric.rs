@@ -432,7 +432,7 @@ fn peer_endpoint_answers_identify_with_a_typed_error() {
     );
     let server = hetsec_webcom::serve_master(Arc::clone(&master), "127.0.0.1:0")
         .expect("bind master peer endpoint");
-    let transport = hetsec_webcom::TcpTransport::new(server.local_addr());
+    let transport = hetsec_webcom::MuxTransport::new(server.local_addr());
     match transport.identify(Duration::from_secs(5)) {
         Err(TransportError::Protocol(detail)) => assert!(
             detail.contains("master-to-master"),
@@ -443,8 +443,8 @@ fn peer_endpoint_answers_identify_with_a_typed_error() {
     server.stop();
 }
 
-/// Count completions across an atomic so the slow path (lockstep) and
-/// the mux path are compared on the same fabric shape.
+/// Counts completions across an atomic: with a window of 8 on a
+/// pipelined server, the service times of a burst overlap.
 #[test]
 fn mux_keeps_the_window_full_under_load() {
     let served = Arc::new(AtomicUsize::new(0));
@@ -476,8 +476,8 @@ fn mux_keeps_the_window_full_under_load() {
     let elapsed = started.elapsed();
     assert!(outcomes.iter().all(|o| matches!(o, ExecOutcome::Ok(_))));
     assert_eq!(served.load(Ordering::SeqCst), 32);
-    // 32 ops × 2 ms service, lockstep, would take ≥ 64 ms; a window of
-    // 8 on a pipelined server should overlap most of it.
+    // 32 ops × 2 ms service, one at a time, would take ≥ 64 ms; a
+    // window of 8 on a pipelined server should overlap most of it.
     assert!(
         elapsed < Duration::from_millis(64),
         "mux should overlap service time, took {elapsed:?}"

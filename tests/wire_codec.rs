@@ -23,8 +23,8 @@ use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     decode_frame, encode_frame, serve_tcp, ArithComponentExecutor, AuthzStack, ClientConfig,
-    ClientEngine, ClientIdentity, ClientTransport, ExecError, ExecOutcome, ScheduleReply,
-    ScheduleRequest, ScheduledAction, TcpTransport, TrustManager, WireError, WireRequest,
+    ClientEngine, ClientIdentity, ClientTransport, ExecError, ExecOutcome, MuxTransport,
+    ScheduleReply, ScheduleRequest, ScheduledAction, TrustManager, WireError, WireRequest,
     WireResponse, MAX_DEPTH,
 };
 use std::io::{Read, Write};
@@ -382,7 +382,7 @@ fn live_listener_survives_depth_bombs_and_keeps_serving() {
             "{name} bomb: expected the connection closed, got {read:?}"
         );
     }
-    let transport = TcpTransport::new(server.local_addr());
+    let transport = MuxTransport::new(server.local_addr());
     for op_id in 1..=3 {
         let reply = transport
             .call(
