@@ -27,7 +27,7 @@ use crate::audit::AuditLog;
 use crate::authz::{AuthzRequest, TrustManager};
 use crate::protocol::{ComponentExecutor, ExecOutcome, ScheduleReply, ScheduleRequest};
 use crate::stack::{AuthzContext, AuthzStack};
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{self, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -318,7 +318,7 @@ pub fn spawn_client(config: ClientConfig) -> ClientHandle {
 /// Spawns a channel frontend for an existing engine (lets one engine
 /// serve the channel fabric and a TCP listener at once).
 pub fn spawn_engine(engine: Arc<ClientEngine>) -> ClientHandle {
-    let (tx, rx) = unbounded::<ClientMessage>();
+    let (tx, rx) = mpsc::channel::<ClientMessage>();
     let name = engine.name().to_string();
     let key_text = engine.key_text().to_string();
     let join = std::thread::Builder::new()
@@ -393,7 +393,7 @@ mod tests {
         master: &str,
         principal: &str,
     ) -> ExecOutcome {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         handle
             .sender()
             .send(ClientMessage::Request(

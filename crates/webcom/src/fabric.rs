@@ -230,9 +230,9 @@ impl MasterServer {
 /// form one sharded fabric. `Identify`/`Schedule` frames from stray
 /// clients are answered with a protocol error rather than silence.
 ///
-/// Each connection answers its forwards on its own thread: a
-/// [`TcpPeerLink`] has one forward in flight, so a worker pool would
-/// only add a hand-off.
+/// Each connection answers its forwards on one thread (`pipeline` 1):
+/// a [`TcpPeerLink`] has one forward in flight, so a second thread
+/// would only wait.
 pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<MasterServer> {
     let forwards = Arc::new(AtomicUsize::new(0));
     let handler_forwards = Arc::clone(&forwards);

@@ -66,7 +66,8 @@ pub struct LoadConfig {
     /// Closed-loop caller population per shard (the master's burst
     /// parallelism).
     pub callers: usize,
-    /// Server-side worker threads per client connection.
+    /// The most threads that may handle one client connection's frames
+    /// at once ([`crate::ServeOptions::pipeline`]).
     pub pipeline: usize,
     /// Synthetic component service time (the executor sleeps this
     /// long per invocation).
@@ -131,8 +132,8 @@ impl LoadReport {
     }
 }
 
-// ---- Deterministic workload generation (the vendored `rand` is an
-// empty placeholder, so the generator is self-contained). ----
+// ---- Deterministic workload generation (self-contained: the
+// workspace has no random-number crate). ----
 
 /// splitmix64: tiny, fast, and good enough to spread a Zipf draw.
 fn splitmix64(state: &mut u64) -> u64 {

@@ -2031,7 +2031,7 @@ mod dispatch_tests {
     /// Blocks until released (or the call budget expires), then
     /// answers Ok.
     struct BlockingTransport {
-        release: Mutex<crossbeam::channel::Receiver<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
         calls: AtomicUsize,
     }
 
@@ -2054,7 +2054,7 @@ mod dispatch_tests {
 
     #[test]
     fn saturated_client_sheds_to_next_eligible() {
-        let (release_tx, release_rx) = crossbeam::channel::unbounded::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let blocking = Arc::new(BlockingTransport {
             release: Mutex::new(release_rx),
             calls: AtomicUsize::new(0),

@@ -4,9 +4,8 @@
 //! A transport that keeps one request on the wire at a time costs
 //! `service time + RTT` per op no matter how many ops are ready, with
 //! every other caller queued on the connection. [`MuxTransport`] splits
-//! the connection instead: one writer side (callers write frames under
-//! a short lock and return) and one dedicated reader thread that
-//! correlates every incoming reply to its waiting caller through a
+//! the connection instead: callers write their frames under a short
+//! lock, and replies are correlated to their callers through a
 //! pending-reply table keyed by `op_id`. Many ops ride one socket
 //! concurrently, bounded by an in-flight *window* of tokens; the window
 //! composes with the master's per-client `CallPermit` quota
@@ -14,43 +13,68 @@
 //! dispatch may target the client at all, the window gates how many of
 //! the admitted calls may be on the wire at once.
 //!
+//! No thread of its own reads the socket. The callers take turns: after
+//! writing, a caller takes the *read role* if it is free, and otherwise
+//! waits on its reply channel. The reader reads through one resumable
+//! frame buffer, hands every reply to its caller by `op_id` (its own
+//! included), and once its own ops are settled — answered or past their
+//! deadline — hands the read role to a caller still waiting, or frees
+//! it. A reply thus reaches its caller without a hop through another
+//! thread whenever that caller is the one reading, and a read deadline
+//! that expires mid-frame leaves the partial frame buffered for the next
+//! reader.
+//!
 //! A batch ([`ClientTransport::call_batch`], how a condensed-graph wave
 //! reaches the wire) takes as many window slots as are free, registers
 //! that many op ids, writes all their frames with one socket write and
 //! collects the replies by `op_id`, a window at a time. A single call is
 //! a batch of one.
 //!
-//! Failure model: if the reader thread dies it marks the connection
-//! generation dead and fails every pending op. A lost connection (peer
-//! reset, truncated frame) fails them with a retryable
-//! [`TransportError::Closed`], so the master's dispatch loop can retry
-//! or fail over, and the next call connects a fresh generation. A peer
-//! that speaks the protocol wrong (a frame that is not a schedule
-//! reply, or garbage) fails them with [`TransportError::Protocol`],
-//! which is not retried against the same peer. A reply arriving after
-//! its caller timed out is dropped silently — its pending entry is
-//! already gone.
+//! Failure model: when the socket fails under a reader or a writer, the
+//! connection generation is marked dead and every pending op fails. A
+//! lost connection (peer reset, truncated frame) fails them with a
+//! retryable [`TransportError::Closed`], so the master's dispatch loop
+//! can retry or fail over, and the next call connects a fresh
+//! generation. With no reader between calls, a peer that closes an idle
+//! connection is noticed by the next call, which fails fast with
+//! `Closed`. A peer that speaks the protocol wrong (a frame that is not
+//! a schedule reply, or garbage) fails them with
+//! [`TransportError::Protocol`], which is not retried against the same
+//! peer. A reply arriving after its caller timed out is dropped
+//! silently — its pending entry is already gone.
 
 use crate::protocol::{ClientIdentity, ScheduleReply, ScheduleRequest, WireRequest};
 use crate::transport::{encode_error, exchange, ClientTransport, TransportError};
-use crate::wire::{encode_frame, encode_schedule, read_frame, write_encoded, WireError};
+use crate::wire::{encode_frame, encode_schedule, write_encoded, FrameReader, WireError};
 use crate::WireResponse;
-use crossbeam::channel::{self, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 /// Default in-flight window per connection.
 pub const DEFAULT_WINDOW: usize = 32;
 
+/// How long a caller lets an idle dial take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 type ReplyResult = Result<ScheduleReply, TransportError>;
 
-/// Counting semaphore for in-flight slots. (The vendored channel's
-/// receiver is `!Sync`, so the token pool cannot be a channel shared
-/// across caller threads.)
+/// What a waiting caller receives on its reply channel.
+#[derive(Debug)]
+enum Delivery {
+    /// A reply for one of its ops, or the failure of the connection.
+    Reply(ReplyResult),
+    /// The read role, handed on by a reader whose own ops are settled.
+    Read,
+}
+
+/// Counting semaphore for in-flight slots. (An mpsc receiver is
+/// `!Sync`, so the token pool cannot be a channel shared across caller
+/// threads.)
 struct Window {
     slots: StdMutex<usize>,
     freed: Condvar,
@@ -102,32 +126,58 @@ impl Window {
     }
 }
 
-/// One connection generation: writer half, pending-reply table, and
-/// the in-flight window. The reader thread owns the read half; when it
-/// exits it poisons the generation and drains the table.
+/// Callers awaiting replies, and whether one of them holds the read
+/// role. One lock covers both, so a reader that finds nobody waiting
+/// frees the role before any new caller can look for it.
+struct Pending {
+    waiters: HashMap<u64, Sender<Delivery>>,
+    reading: bool,
+}
+
+/// One connection generation: the socket, the resumable frame buffer
+/// the read-role holder reads through, the pending-reply table and the
+/// in-flight window. Once dead, it fails every pending op.
 struct ConnState {
-    writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, Sender<ReplyResult>>>,
+    stream: TcpStream,
+    /// Serialises writes.
+    writing: Mutex<()>,
+    /// Locked only by the read-role holder.
+    frames: Mutex<FrameReader>,
+    pending: Mutex<Pending>,
     window: Window,
     dead: AtomicBool,
 }
 
 impl ConnState {
-    /// Marks the generation dead, severs the socket (waking the reader
-    /// if it is still alive), and fails every pending op with the error
-    /// `kind` builds: `Closed` for a lost connection, `Protocol` for a
-    /// peer that broke the protocol.
+    fn new(stream: TcpStream, window: usize) -> Self {
+        ConnState {
+            stream,
+            writing: Mutex::new(()),
+            frames: Mutex::new(FrameReader::new()),
+            pending: Mutex::new(Pending {
+                waiters: HashMap::new(),
+                reading: false,
+            }),
+            window: Window::new(window),
+            dead: AtomicBool::new(false),
+        }
+    }
+
+    /// Marks the generation dead, severs the socket (waking a reader
+    /// blocked on it), and fails every pending op with the error `kind`
+    /// builds: `Closed` for a lost connection, `Protocol` for a peer
+    /// that broke the protocol.
     fn poison(&self, kind: fn(String) -> TransportError, reason: &str) {
         if self.dead.swap(true, Ordering::SeqCst) {
             return; // already poisoned; pending already drained
         }
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
-        let drained: Vec<(u64, Sender<ReplyResult>)> =
-            self.pending.lock().drain().collect();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let drained: Vec<(u64, Sender<Delivery>)> =
+            self.pending.lock().waiters.drain().collect();
         for (op_id, tx) in drained {
-            let _ = tx.send(Err(kind(format!(
+            let _ = tx.send(Delivery::Reply(Err(kind(format!(
                 "mux connection failed with op {op_id} in flight: {reason}"
-            ))));
+            )))));
         }
     }
 
@@ -143,29 +193,20 @@ impl ConnState {
     /// caller's entry, which would hand it this caller's reply.
     ///
     /// [`poison`]: ConnState::poison
-    fn register(&self, op_id: u64, tx: Sender<ReplyResult>) -> Result<(), TransportError> {
-        match self.pending.lock().entry(op_id) {
+    fn register(&self, op_id: u64, tx: Sender<Delivery>) -> Result<(), TransportError> {
+        match self.pending.lock().waiters.entry(op_id) {
             Entry::Occupied(_) => return Err(TransportError::DuplicateOp(op_id)),
             Entry::Vacant(slot) => {
                 slot.insert(tx);
             }
         }
         if self.dead.load(Ordering::SeqCst) {
-            self.pending.lock().remove(&op_id);
+            self.pending.lock().waiters.remove(&op_id);
             return Err(TransportError::Closed(format!(
                 "mux connection died while registering op {op_id}"
             )));
         }
         Ok(())
-    }
-
-    /// Withdraws ops whose caller stopped waiting: a late reply finds
-    /// no waiter and is dropped.
-    fn withdraw(&self, outstanding: &[(u64, usize)]) {
-        let mut pending = self.pending.lock();
-        for (op_id, _) in outstanding {
-            pending.remove(op_id);
-        }
     }
 
     /// Puts one window's worth of encoded frames (request index, frame)
@@ -191,7 +232,7 @@ impl ConnState {
         // an unregistered op_id. `register` re-checks `dead` after each
         // insert: a poison() in between would otherwise orphan entries
         // and block us for the full timeout.
-        let (reply_tx, reply_rx) = channel::unbounded::<ReplyResult>();
+        let (reply_tx, reply_rx) = mpsc::channel::<Delivery>();
         let mut outstanding: Vec<(u64, usize)> = Vec::with_capacity(chunk.len());
         let mut wire: Vec<u8> = Vec::new();
         for (i, frame) in chunk {
@@ -213,37 +254,137 @@ impl ConnState {
         if outstanding.is_empty() {
             return Ok(true);
         }
-        let written = write_encoded(&mut *self.writer.lock(), &wire);
+        let written = {
+            let _writing = self.writing.lock();
+            write_encoded(&mut &self.stream, &wire)
+        };
         if let Err(e) = written {
-            self.withdraw(&outstanding);
+            // Drains this chunk's entries with everyone else's.
             self.poison(TransportError::Closed, &format!("write failed: {e}"));
             return Err(TransportError::Closed(format!("mux write failed: {e}")));
         }
-        let lost = loop {
-            if outstanding.is_empty() {
-                break None;
-            }
-            let left = deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(1));
-            match reply_rx.recv_timeout(left) {
-                Ok(Ok(reply)) => {
-                    if let Some(k) = outstanding.iter().position(|&(id, _)| id == reply.op_id) {
-                        results[outstanding.swap_remove(k).1] = Some(Ok(reply));
+        let mut wait = Wait {
+            outstanding,
+            lost: None,
+            reading: self.take_read_role(),
+        };
+        while !wait.outstanding.is_empty() && wait.lost.is_none() {
+            let delivery = if wait.reading {
+                match reply_rx.try_recv() {
+                    Ok(delivery) => Ok(delivery),
+                    Err(TryRecvError::Empty) if Instant::now() < deadline => {
+                        self.read_one(deadline);
+                        continue;
                     }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
                 }
-                // The reader died and drained the table.
-                Ok(Err(e)) => break Some(e),
+            } else {
+                reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            };
+            match delivery {
+                Ok(delivery) => wait.take(delivery, results),
+                Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
-                    break Some(TransportError::Closed(
+                    wait.lost = Some(TransportError::Closed(
                         "mux connection dropped the pending table".to_string(),
                     ))
                 }
-                Err(RecvTimeoutError::Timeout) => break None,
             }
-        };
-        self.withdraw(&outstanding);
-        lost.map_or(Ok(outstanding.is_empty()), Err)
+        }
+        self.settle(&mut wait, &reply_rx, results);
+        wait.lost.map_or(Ok(wait.outstanding.is_empty()), Err)
+    }
+
+    /// True if the caller took the free read role.
+    fn take_read_role(&self) -> bool {
+        !std::mem::replace(&mut self.pending.lock().reading, true)
+    }
+
+    /// As the read-role holder, reads one frame — waiting for it at
+    /// most until `deadline` — and hands it to its caller by `op_id`. A
+    /// reply nobody waits for (its caller timed out) is dropped; a
+    /// failed read poisons the generation.
+    fn read_one(&self, deadline: Instant) {
+        let mut frames = self.frames.lock();
+        if !frames.has_frame() {
+            let left = deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1));
+            if let Err(e) = self.stream.set_read_timeout(Some(left)) {
+                return self.poison(TransportError::Closed, &format!("set read timeout: {e}"));
+            }
+        }
+        match frames.read_frame::<WireResponse, _>(&mut &self.stream) {
+            Ok(WireResponse::Reply(reply)) => {
+                let waiter = self.pending.lock().waiters.remove(&reply.op_id);
+                if let Some(tx) = waiter {
+                    let _ = tx.send(Delivery::Reply(Ok(reply)));
+                }
+            }
+            Ok(other) => self.poison(
+                TransportError::Protocol,
+                &format!("unexpected frame {other:?} on a mux connection"),
+            ),
+            // The deadline passed; a partial frame stays buffered.
+            Err(e) if e.is_timeout() => {}
+            Err(e @ (WireError::Truncated | WireError::Io(_))) => {
+                self.poison(TransportError::Closed, &e.to_string())
+            }
+            Err(e) => self.poison(TransportError::Protocol, &e.to_string()),
+        }
+    }
+
+    /// Ends a caller's wait: withdraws its unanswered ops, so a late
+    /// reply finds no waiter, takes what was sent to it meanwhile, and
+    /// passes the read role on if it holds it — to a caller still
+    /// waiting, or back to free. Under the table's lock nothing more can
+    /// be sent to it.
+    fn settle(
+        &self,
+        wait: &mut Wait,
+        reply_rx: &Receiver<Delivery>,
+        results: &mut [Option<ReplyResult>],
+    ) {
+        let mut pending = self.pending.lock();
+        for (op_id, _) in &wait.outstanding {
+            pending.waiters.remove(op_id);
+        }
+        while let Ok(delivery) = reply_rx.try_recv() {
+            wait.take(delivery, results);
+        }
+        if wait.reading {
+            match pending.waiters.values().next() {
+                Some(next) => {
+                    let _ = next.send(Delivery::Read);
+                }
+                None => pending.reading = false,
+            }
+        }
+    }
+}
+
+/// One caller's wait for a chunk's replies.
+struct Wait {
+    /// (op id, request index) of the ops not yet answered.
+    outstanding: Vec<(u64, usize)>,
+    /// Set when the connection failed.
+    lost: Option<TransportError>,
+    /// Whether this caller holds the read role.
+    reading: bool,
+}
+
+impl Wait {
+    fn take(&mut self, delivery: Delivery, results: &mut [Option<ReplyResult>]) {
+        match delivery {
+            Delivery::Reply(Ok(reply)) => {
+                if let Some(k) = self.outstanding.iter().position(|&(id, _)| id == reply.op_id) {
+                    results[self.outstanding.swap_remove(k).1] = Some(Ok(reply));
+                }
+            }
+            Delivery::Reply(Err(e)) => self.lost = Some(e),
+            Delivery::Read => self.reading = true,
+        }
     }
 }
 
@@ -263,7 +404,6 @@ impl Drop for WindowToken {
 /// A pipelined multiplexed transport to one serving client.
 pub struct MuxTransport {
     peer: SocketAddr,
-    connect_timeout: Duration,
     window: usize,
     conn: Mutex<Option<Arc<ConnState>>>,
 }
@@ -274,7 +414,6 @@ impl MuxTransport {
     pub fn new(peer: SocketAddr) -> Self {
         MuxTransport {
             peer,
-            connect_timeout: Duration::from_secs(5),
             window: DEFAULT_WINDOW,
             conn: Mutex::new(None),
         }
@@ -283,12 +422,6 @@ impl MuxTransport {
     /// Overrides the in-flight window (minimum 1).
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Overrides the connect timeout.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
         self
     }
 
@@ -323,55 +456,13 @@ impl MuxTransport {
                 return Ok(Arc::clone(conn));
             }
         }
-        let stream = TcpStream::connect_timeout(&self.peer, self.connect_timeout)
+        let stream = TcpStream::connect_timeout(&self.peer, CONNECT_TIMEOUT)
             .map_err(|e| TransportError::Unreachable(format!("{}: {e}", self.peer)))?;
         stream.set_nodelay(true).ok();
-        let reader_half = stream
-            .try_clone()
-            .map_err(|e| TransportError::Closed(format!("clone mux socket: {e}")))?;
-        let conn = Arc::new(ConnState {
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
-            window: Window::new(self.window),
-            dead: AtomicBool::new(false),
-        });
-        let reader_conn = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name(format!("webcom-mux-{}", self.peer))
-            .spawn(move || reader_loop(reader_half, reader_conn))
-            .map_err(|e| TransportError::Closed(format!("spawn mux reader: {e}")))?;
+        let conn = Arc::new(ConnState::new(stream, self.window));
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
     }
-}
-
-/// Reads replies until the socket dies or the peer violates the
-/// protocol, routing each to its pending caller by `op_id`.
-fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>) {
-    let (kind, reason): (fn(String) -> TransportError, String) = loop {
-        match read_frame::<WireResponse, _>(&mut stream) {
-            Ok(WireResponse::Reply(reply)) => {
-                let waiter = conn.pending.lock().remove(&reply.op_id);
-                if let Some(tx) = waiter {
-                    let _ = tx.send(Ok(reply));
-                }
-                // No waiter: the caller timed out and withdrew; the
-                // late reply is dropped on the floor by design.
-            }
-            Ok(other) => {
-                break (
-                    TransportError::Protocol,
-                    format!("unexpected frame {other:?} on a mux connection"),
-                )
-            }
-            Err(e @ (WireError::Truncated | WireError::Io(_))) => {
-                break (TransportError::Closed, e.to_string())
-            }
-            Err(e) => break (TransportError::Protocol, e.to_string()),
-        }
-    };
-    conn.poison(kind, &reason);
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 impl ClientTransport for MuxTransport {
@@ -463,25 +554,22 @@ mod tests {
     use super::*;
     use crate::authz::ScheduledAction;
     use crate::protocol::ExecOutcome;
+    use crate::wire::read_frame;
     use hetsec_graphs::Value;
     use hetsec_middleware::component::ComponentRef;
     use hetsec_middleware::naming::MiddlewareKind;
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
     use std::thread::JoinHandle;
 
-    /// A ConnState over a real loopback socket pair (no reader thread:
+    /// A ConnState over a real loopback socket pair (no caller reads:
     /// these tests drive poison() and register() directly).
     fn loopback_conn() -> (Arc<ConnState>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stream = TcpStream::connect(addr).unwrap();
         let (peer_half, _) = listener.accept().unwrap();
-        let conn = Arc::new(ConnState {
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
-            window: Window::new(4),
-            dead: AtomicBool::new(false),
-        });
+        let conn = Arc::new(ConnState::new(stream, 4));
         (conn, peer_half)
     }
 
@@ -493,7 +581,7 @@ mod tests {
         // the exact interleaving that used to orphan the entry.
         assert!(!conn.dead.load(Ordering::SeqCst));
         conn.poison(TransportError::Closed, "peer reset during registration");
-        let (tx, rx) = channel::unbounded::<ReplyResult>();
+        let (tx, rx) = mpsc::channel::<Delivery>();
         let started = Instant::now();
         let err = conn.register(7, tx).unwrap_err();
         // Fails immediately — far inside any op timeout — instead of
@@ -503,7 +591,7 @@ mod tests {
         // Retryable: the dispatch loop may fail over to another client.
         assert!(err.to_exec_error().retryable);
         // The entry was withdrawn, not orphaned.
-        assert!(conn.pending.lock().is_empty());
+        assert!(conn.pending.lock().waiters.is_empty());
         drop(rx);
     }
 
@@ -512,30 +600,33 @@ mod tests {
         // The complementary interleaving: the insert lands first, then
         // poison() drains it — the caller gets the drained error.
         let (conn, _peer) = loopback_conn();
-        let (tx, rx) = channel::unbounded::<ReplyResult>();
+        let (tx, rx) = mpsc::channel::<Delivery>();
         conn.register(9, tx).unwrap();
         conn.poison(TransportError::Closed, "peer reset");
         match rx.try_recv() {
-            Ok(Err(TransportError::Closed(reason))) => {
+            Ok(Delivery::Reply(Err(TransportError::Closed(reason)))) => {
                 assert!(reason.contains("op 9"), "unexpected reason: {reason}");
             }
             other => panic!("expected drained Closed error, got {other:?}"),
         }
-        assert!(conn.pending.lock().is_empty());
+        assert!(conn.pending.lock().waiters.is_empty());
     }
 
     #[test]
     fn duplicate_op_id_is_refused_not_overwritten() {
         let (conn, _peer) = loopback_conn();
-        let (first_tx, first_rx) = channel::unbounded::<ReplyResult>();
+        let (first_tx, first_rx) = mpsc::channel::<Delivery>();
         conn.register(11, first_tx).unwrap();
-        let (second_tx, _second_rx) = channel::unbounded::<ReplyResult>();
+        let (second_tx, _second_rx) = mpsc::channel::<Delivery>();
         let err = conn.register(11, second_tx).unwrap_err();
         assert!(matches!(err, TransportError::DuplicateOp(11)), "{err:?}");
         assert!(!err.to_exec_error().retryable);
         // The first caller still owns the entry: the drain reaches it.
         conn.poison(TransportError::Closed, "peer reset");
-        assert!(matches!(first_rx.try_recv(), Ok(Err(TransportError::Closed(_)))));
+        assert!(matches!(
+            first_rx.try_recv(),
+            Ok(Delivery::Reply(Err(TransportError::Closed(_))))
+        ));
     }
 
     #[test]
@@ -621,7 +712,7 @@ mod tests {
             .conn
             .lock()
             .as_ref()
-            .map_or(0, |c| c.pending.lock().len())
+            .map_or(0, |c| c.pending.lock().waiters.len())
     }
 
     #[test]
@@ -728,5 +819,115 @@ mod tests {
         );
         assert_eq!(results[2].as_ref().unwrap().op_id, 8);
         assert_eq!(pending_ops(&transport), 0);
+    }
+
+    #[test]
+    fn a_deadline_mid_frame_leaves_the_framing_intact() {
+        let (transport, peer) = fake_peer(8, |mut stream| {
+            let first = read_op(&mut stream);
+            let frame = encode_frame(&WireResponse::Reply(ScheduleReply {
+                op_id: first,
+                client: "peer".to_string(),
+                outcome: ExecOutcome::Ok(Value::Int(first as i64)),
+                replayed: false,
+            }))
+            .unwrap();
+            // Half the reply, then the rest after the caller gave up.
+            let (head, tail) = frame.split_at(frame.len() / 2);
+            write_encoded(&mut stream, head).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            write_encoded(&mut stream, tail).unwrap();
+            let second = read_op(&mut stream);
+            reply(&mut stream, second);
+        });
+        let err = transport
+            .call(&request(1), Duration::from_millis(100))
+            .unwrap_err();
+        assert!(matches!(err, TransportError::Timeout(_)), "{err:?}");
+        // The late reply is read past and dropped; the next call gets
+        // its own reply off the same connection.
+        let reply = transport.call(&request(2), Duration::from_secs(5)).unwrap();
+        peer.join().unwrap();
+        assert_eq!(reply.op_id, 2);
+        assert_eq!(reply.outcome, ExecOutcome::Ok(Value::Int(2)));
+        assert_eq!(pending_ops(&transport), 0);
+    }
+
+    /// Threads of this process whose name starts with `prefix`.
+    fn threads_named(prefix: &str) -> usize {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return 0;
+        };
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with(prefix))
+            .count()
+    }
+
+    #[test]
+    fn callers_read_each_others_replies_with_no_reader_thread() {
+        let readers = Arc::new(AtomicUsize::new(usize::MAX));
+        let seen = Arc::clone(&readers);
+        let (second_sent_tx, second_sent_rx) = mpsc::channel::<()>();
+        let (transport, peer) = fake_peer(8, move |mut stream| {
+            let first = read_op(&mut stream);
+            second_sent_tx.send(()).unwrap();
+            let second = read_op(&mut stream);
+            seen.store(threads_named("webcom-mux"), Ordering::SeqCst);
+            // The second caller is answered first.
+            reply(&mut stream, second);
+            reply(&mut stream, first);
+        });
+        let transport = &transport;
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(move || transport.call(&request(1), Duration::from_secs(5)));
+            second_sent_rx.recv().unwrap();
+            let second = s.spawn(move || transport.call(&request(2), Duration::from_secs(5)));
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        peer.join().unwrap();
+        assert_eq!(first.unwrap().outcome, ExecOutcome::Ok(Value::Int(1)));
+        assert_eq!(second.unwrap().outcome, ExecOutcome::Ok(Value::Int(2)));
+        assert_eq!(readers.load(Ordering::SeqCst), 0, "a mux reader thread is running");
+        assert_eq!(pending_ops(transport), 0);
+    }
+
+    #[test]
+    fn a_peer_closing_an_idle_connection_costs_one_fast_retryable_failure() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = MuxTransport::new(listener.local_addr().unwrap());
+        let (closed_tx, closed_rx) = mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            // The first connection answers once, then the peer closes it.
+            let (mut stream, _) = listener.accept().unwrap();
+            let id = read_op(&mut stream);
+            reply(&mut stream, id);
+            drop(stream);
+            closed_tx.send(()).unwrap();
+            // The second answers until the caller hangs up.
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Ok(WireRequest::Schedule(request)) = read_frame(&mut stream) {
+                reply(&mut stream, request.op_id);
+            }
+        });
+        let timeout = Duration::from_secs(5);
+        assert_eq!(transport.call(&request(1), timeout).unwrap().op_id, 1);
+        closed_rx.recv().unwrap();
+        let started = Instant::now();
+        let mut failures = 0;
+        for id in 2..=3 {
+            match transport.call(&request(id), timeout) {
+                Ok(reply) => assert_eq!(reply.op_id, id),
+                Err(e @ TransportError::Closed(_)) => {
+                    assert!(e.to_exec_error().retryable);
+                    assert!(started.elapsed() < timeout / 5, "failed after {:?}", started.elapsed());
+                    failures += 1;
+                }
+                Err(e) => panic!("op {id}: unexpected {e:?}"),
+            }
+        }
+        assert!(failures <= 1, "{failures} calls failed on the closed connection");
+        drop(transport);
+        peer.join().unwrap();
     }
 }

@@ -9,13 +9,18 @@
 //! handler.
 //!
 //! Both run on one listener core: an accept thread, a stop flag, and
-//! the set of live connections, each served by its own thread. A
-//! connection's thread reads request frames and answers each with the
-//! server's handler, either itself (`pipeline` 1) or through a pool of
-//! `pipeline` workers that write replies, in completion order, under a
-//! shared writer lock. Malformed, oversized or truncated frames close
-//! the connection — they never panic the server — and a closed
-//! connection leaves the tracked set.
+//! the set of live connections. Each connection is served
+//! leader/follower style (Schmidt et al.'s Leader/Followers pattern):
+//! the thread that reads a request frame also runs the handler and
+//! writes the reply, under a writer lock, in completion order, and the
+//! read role passes to a thread already waiting for it. With `pipeline`
+//! 1 one thread does it all, a frame at a time. With more, a connection
+//! starts with two threads, so a slow op never holds up the next frame,
+//! and grows toward `pipeline` only while a backlog of whole frames is
+//! visible in its read buffer with every other thread busy handling.
+//! Malformed, oversized or truncated frames close the connection — they
+//! never panic the server — and a closed connection leaves the tracked
+//! set.
 //!
 //! The returned [`TcpClientServer`] can [`stop`](TcpClientServer::stop)
 //! (orderly) or [`kill`](TcpClientServer::kill) (abrupt, severing live
@@ -26,14 +31,14 @@ use crate::client::ClientEngine;
 use crate::protocol::{
     ClientIdentity, ExecError, ExecOutcome, ScheduleReply, WireRequest, WireResponse,
 };
-use crate::wire::{encode_frame, read_frame, write_encoded};
+use crate::wire::{encode_frame, write_encoded, FrameReader};
 use hetsec_rbac::Domain;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::Duration;
 
 /// State a listener shares with its accept and connection threads.
@@ -165,7 +170,7 @@ fn accept_loop<H>(
                 let spawned = std::thread::Builder::new()
                     .name("webcom-conn".to_string())
                     .spawn(move || {
-                        connection_loop(stream, handler, pipeline, &conn_state.stop);
+                        connection_loop(stream, &*handler, pipeline, &conn_state.stop);
                         conn_state.conns.lock().remove(&id);
                     });
                 if spawned.is_err() {
@@ -180,80 +185,119 @@ fn accept_loop<H>(
     }
 }
 
-/// Answers one request frame: runs the handler, encodes the reply
-/// outside the writer lock, and writes it under the lock. False once
-/// the connection can take no more replies.
-fn answer<H>(handler: &H, writer: &Mutex<TcpStream>, request: WireRequest) -> bool
+/// One connection served leader/follower style. The thread holding
+/// `turn` is the leader: it reads the next frame, passes the read role
+/// on by releasing the lock to a thread already waiting for it, then
+/// handles the frame and writes the reply itself. No frame changes
+/// threads on its way from the socket to the handler.
+struct Connection<'a, H> {
+    stream: TcpStream,
+    turn: Mutex<Turn>,
+    /// Serialises reply writes; replies go out in completion order.
+    writing: Mutex<()>,
+    /// Threads inside the handler.
+    busy: AtomicUsize,
+    /// Set once a read fails or a reply cannot be written: no thread
+    /// takes another turn.
+    closed: AtomicBool,
+    handler: &'a H,
+    pipeline: usize,
+    stop: &'a AtomicBool,
+}
+
+/// What the leader holds.
+struct Turn {
+    frames: FrameReader,
+    /// Threads serving the connection, at most `pipeline`.
+    threads: usize,
+}
+
+impl<'a, H> Connection<'a, H>
 where
-    H: Fn(WireRequest) -> WireResponse,
+    H: Fn(WireRequest) -> WireResponse + Sync,
 {
-    let frame = encode_frame(&handler(request));
-    let mut writer = writer.lock();
-    if frame.and_then(|f| write_encoded(&mut *writer, &f)).is_err() {
-        let _ = writer.shutdown(Shutdown::Both);
-        return false;
+    /// Takes turns at the socket until the connection closes. A leader
+    /// adds a thread only when a whole frame is already buffered behind
+    /// the one it took and every other thread is inside the handler,
+    /// so the threads taking turns track the frames actually in flight.
+    fn take_turns<'scope>(&'a self, scope: &'scope Scope<'scope, 'a>) {
+        loop {
+            let request = {
+                let mut turn = self.turn.lock();
+                if self.closed.load(Ordering::SeqCst) || self.stop.load(Ordering::SeqCst) {
+                    self.closed.store(true, Ordering::SeqCst);
+                    return;
+                }
+                let Ok(request) = turn.frames.read_frame::<WireRequest, _>(&mut &self.stream)
+                else {
+                    self.closed.store(true, Ordering::SeqCst);
+                    return;
+                };
+                if turn.frames.has_frame()
+                    && turn.threads < self.pipeline
+                    && self.busy.load(Ordering::SeqCst) + 1 == turn.threads
+                    && self.follow(scope)
+                {
+                    turn.threads += 1;
+                }
+                self.busy.fetch_add(1, Ordering::SeqCst);
+                request
+            };
+            let response = (self.handler)(request);
+            self.busy.fetch_sub(1, Ordering::SeqCst);
+            let frame = encode_frame(&response);
+            let _writing = self.writing.lock();
+            if frame.and_then(|f| write_encoded(&mut &self.stream, &f)).is_err() {
+                // Wakes a leader blocked reading.
+                self.closed.store(true, Ordering::SeqCst);
+                let _ = self.stream.shutdown(Shutdown::Both);
+                return;
+            }
+        }
     }
-    true
+
+    /// Starts one more thread taking turns; false if none could start.
+    fn follow<'scope>(&'a self, scope: &'scope Scope<'scope, 'a>) -> bool {
+        std::thread::Builder::new()
+            .name("webcom-conn".to_string())
+            .spawn_scoped(scope, move || self.take_turns(scope))
+            .is_ok()
+    }
 }
 
 /// Serves one connection until the peer hangs up, sends garbage, or the
-/// listener stops. With `pipeline` 1 this thread answers each frame
-/// before reading the next; with more, frames queue to `pipeline`
-/// workers and replies go out as they complete, so the client must
-/// correlate them by `op_id`.
-fn connection_loop<H>(mut stream: TcpStream, handler: Arc<H>, pipeline: usize, stop: &AtomicBool)
+/// listener stops. With `pipeline` 1 one thread answers each frame
+/// before reading the next. With more, a second thread takes the read
+/// role while the first handles a frame, more join while a backlog of
+/// frames is visible, and replies go out as they complete, so the
+/// client must correlate them by `op_id`. Frames read before the peer
+/// hung up are still answered.
+fn connection_loop<H>(stream: TcpStream, handler: &H, pipeline: usize, stop: &AtomicBool)
 where
-    H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+    H: Fn(WireRequest) -> WireResponse + Sync,
 {
-    let Ok(writer) = stream.try_clone() else {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
+    let conn = Connection {
+        stream,
+        turn: Mutex::new(Turn {
+            frames: FrameReader::new(),
+            threads: 1,
+        }),
+        writing: Mutex::new(()),
+        busy: AtomicUsize::new(0),
+        closed: AtomicBool::new(false),
+        handler,
+        pipeline,
+        stop,
     };
-    let writer = Arc::new(Mutex::new(writer));
-    let mut queue = None;
-    let mut workers = Vec::new();
-    if pipeline > 1 {
-        let (tx, rx) = crossbeam::channel::unbounded::<WireRequest>();
-        // The vendored receiver is `!Sync`: workers share it under a
-        // lock held only while dequeueing.
-        let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..pipeline {
-            let rx = Arc::clone(&rx);
-            let writer = Arc::clone(&writer);
-            let handler = Arc::clone(&handler);
-            let spawned = std::thread::Builder::new()
-                .name("webcom-conn-worker".to_string())
-                .spawn(move || loop {
-                    // A `let` statement drops the receiver guard before
-                    // the answer, so workers answer concurrently.
-                    let Ok(request) = rx.lock().recv() else {
-                        break; // reader gone, queue drained
-                    };
-                    if !answer(&*handler, &writer, request) {
-                        break;
-                    }
-                });
-            workers.extend(spawned.ok());
+    std::thread::scope(|scope| {
+        let mut turn = conn.turn.lock();
+        if pipeline > 1 && conn.follow(scope) {
+            turn.threads += 1;
         }
-        // With no worker left to hold the receiver, queueing fails and
-        // the connection closes.
-        queue = Some(tx);
-    }
-    while let Ok(request) = read_frame::<WireRequest, _>(&mut stream) {
-        let alive = match &queue {
-            Some(queue) => queue.send(request).is_ok(),
-            None => answer(&*handler, &writer, request),
-        };
-        if !alive || stop.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    // Closing the queue lets workers drain in-flight requests and exit.
-    drop(queue);
-    for worker in workers {
-        let _ = worker.join();
-    }
-    let _ = stream.shutdown(Shutdown::Both);
+        drop(turn);
+        conn.take_turns(scope);
+    });
+    let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
 /// A running TCP client server.
@@ -306,12 +350,15 @@ impl TcpClientServer {
 /// Per-connection serving options.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// Request frames a single connection may be handling at once.
-    /// 1 (the default) answers each frame before reading the next;
-    /// larger values give each connection a worker pool so
-    /// [`crate::MuxTransport`] can keep many ops in flight down one
-    /// socket. Replies are then written as they complete — out of
-    /// order — and the mux correlates them by `op_id`.
+    /// The most threads that may handle one connection's frames at
+    /// once. 1 (the default) answers each frame before reading the
+    /// next. Above 1, a connection starts with two threads taking turns
+    /// at the socket and adds one, up to this bound, only when a whole
+    /// frame is already buffered behind the one just read and every
+    /// other thread is busy handling — so [`crate::MuxTransport`] can
+    /// keep many ops in flight down one socket without paying for
+    /// threads it does not use. Replies are written as they complete —
+    /// out of order — and the mux correlates them by `op_id`.
     pub pipeline: usize,
 }
 
@@ -379,14 +426,18 @@ mod tests {
     use crate::authz::{ScheduledAction, TrustManager};
     use crate::client::{ClientConfig, ClientEngine};
     use crate::mux::MuxTransport;
-    use crate::protocol::{ArithComponentExecutor, ScheduleRequest};
+    use crate::protocol::{ArithComponentExecutor, ComponentExecutor, ScheduleRequest};
     use crate::stack::{AuthzStack, TrustLayer};
     use crate::transport::{ClientTransport, TransportError};
     use crate::wire::write_frame as wire_write;
     use hetsec_graphs::Value;
     use hetsec_middleware::component::ComponentRef;
     use hetsec_middleware::naming::MiddlewareKind;
+    use hetsec_rbac::User;
+    use std::collections::HashSet;
     use std::io::Write;
+    use std::thread::ThreadId;
+    use std::time::Instant;
 
     fn tm(policy: &str) -> Arc<TrustManager> {
         let t = TrustManager::permissive();
@@ -395,6 +446,14 @@ mod tests {
     }
 
     fn engine(name: &str, key: &str) -> Arc<ClientEngine> {
+        engine_with(name, key, Arc::new(ArithComponentExecutor))
+    }
+
+    fn engine_with(
+        name: &str,
+        key: &str,
+        executor: Arc<dyn ComponentExecutor>,
+    ) -> Arc<ClientEngine> {
         let master_trust = tm(
             "Authorizer: POLICY\nLicensees: \"Kmaster\"\nConditions: app_domain==\"WebCom\";\n",
         );
@@ -408,7 +467,7 @@ mod tests {
             key_text: key.to_string(),
             master_trust,
             stack: Arc::new(stack),
-            executor: Arc::new(ArithComponentExecutor),
+            executor,
         }))
     }
 
@@ -427,6 +486,112 @@ mod tests {
             stamps: vec![],
             args: vec![Value::Int(20), Value::Int(22)],
         }
+    }
+
+    /// Sleeps `args[0]` milliseconds and answers it; records which
+    /// threads ran the handler and how many ran it at once.
+    #[derive(Default)]
+    struct Probe {
+        threads: Mutex<HashSet<ThreadId>>,
+        running: AtomicUsize,
+        max_running: AtomicUsize,
+    }
+
+    impl ComponentExecutor for Probe {
+        fn invoke(
+            &self,
+            _user: &User,
+            _component: &ComponentRef,
+            args: &[Value],
+        ) -> Result<Value, crate::protocol::ExecError> {
+            let running = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_running.fetch_max(running, Ordering::SeqCst);
+            self.threads.lock().insert(std::thread::current().id());
+            let ms = match args.first() {
+                Some(Value::Int(ms)) => *ms,
+                _ => 0,
+            };
+            std::thread::sleep(Duration::from_millis(ms as u64));
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            Ok(Value::Int(ms))
+        }
+    }
+
+    fn sleeping(op_id: u64, ms: i64) -> ScheduleRequest {
+        ScheduleRequest {
+            args: vec![Value::Int(ms)],
+            ..request(op_id)
+        }
+    }
+
+    #[test]
+    fn threads_track_the_frames_in_flight() {
+        let probe = Arc::new(Probe::default());
+        let server = serve_tcp_with(
+            engine_with("c1", "Kc1", Arc::clone(&probe) as Arc<dyn ComponentExecutor>),
+            vec!["Dom".into()],
+            "127.0.0.1:0",
+            ServeOptions { pipeline: 8 },
+        )
+        .unwrap();
+        let transport = MuxTransport::new(server.local_addr());
+        // Two callers in a closed loop keep at most two frames in
+        // flight: the reader's thread and one follower serve them all.
+        std::thread::scope(|s| {
+            for caller in 0..2u64 {
+                let transport = &transport;
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let reply = transport
+                            .call(&sleeping(caller * 1000 + i, 0), Duration::from_secs(5))
+                            .unwrap();
+                        assert!(reply.outcome.is_ok(), "{reply:?}");
+                    }
+                });
+            }
+        });
+        let handlers = probe.threads.lock().len();
+        assert!(handlers <= 2, "a 2-caller loop ran on {handlers} threads");
+        // A burst arrives as one write: the backlog is visible, so the
+        // connection grows past its first two threads, but never past
+        // `pipeline` handlers.
+        let burst: Vec<ScheduleRequest> = (0..32).map(|i| sleeping(10_000 + i, 2)).collect();
+        let refs: Vec<&ScheduleRequest> = burst.iter().collect();
+        let started = Instant::now();
+        let replies = transport.call_batch(&refs, Duration::from_secs(5));
+        let elapsed = started.elapsed();
+        assert!(replies.iter().all(|r| r.as_ref().is_ok_and(|r| r.outcome.is_ok())));
+        let max_running = probe.max_running.load(Ordering::SeqCst);
+        assert!(max_running <= 8, "{max_running} handlers ran at once");
+        // 32 ops × 2 ms one at a time take ≥ 64 ms.
+        assert!(
+            max_running > 2 && elapsed < Duration::from_millis(64),
+            "the burst did not overlap: {max_running} at once, {elapsed:?}"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn a_slow_op_does_not_hold_up_a_later_fast_one() {
+        let server = serve_tcp_with(
+            engine_with("c1", "Kc1", Arc::new(Probe::default())),
+            vec!["Dom".into()],
+            "127.0.0.1:0",
+            ServeOptions { pipeline: 8 },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let started = Instant::now();
+        wire_write(&mut stream, &WireRequest::Schedule(Box::new(sleeping(1, 300)))).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        wire_write(&mut stream, &WireRequest::Schedule(Box::new(sleeping(2, 0)))).unwrap();
+        match crate::wire::read_frame::<WireResponse, _>(&mut stream).unwrap() {
+            WireResponse::Reply(reply) => assert_eq!(reply.op_id, 2),
+            other => panic!("unexpected frame {other:?}"),
+        }
+        let fast = started.elapsed();
+        assert!(fast < Duration::from_millis(250), "the fast op waited {fast:?}");
+        server.stop();
     }
 
     #[test]

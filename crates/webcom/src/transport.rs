@@ -18,7 +18,7 @@
 use crate::client::ClientMessage;
 use crate::protocol::{ExecError, ScheduleReply, ScheduleRequest, WireResponse};
 use crate::wire::{read_frame, write_encoded, WireError};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -145,7 +145,7 @@ impl ClientTransport for ChannelTransport {
         request: &ScheduleRequest,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         self.sender
             .send(ClientMessage::Request(Box::new(request.clone()), reply_tx))
             .map_err(|_| TransportError::Unreachable("client channel closed".to_string()))?;

@@ -181,6 +181,102 @@ pub fn read_frame<T: for<'de> Deserialize<'de>, R: Read>(reader: &mut R) -> Resu
     serde_json::from_slice(&body).map_err(malformed)
 }
 
+/// Reads frames from a stream through one buffer that survives a failed
+/// read. Each read syscall takes whatever the socket holds, so frames
+/// that arrived together are decoded without further syscalls, and
+/// [`has_frame`](Self::has_frame) tells whether the next frame is
+/// already complete in the buffer. A read that fails mid-frame — a
+/// read timeout, typically — leaves the bytes read so far buffered, and
+/// the next [`read_frame`](Self::read_frame) resumes where it stopped,
+/// so a deadline never breaks the framing.
+pub(crate) struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes.
+    start: usize,
+    /// End of the bytes read.
+    end: usize,
+}
+
+impl FrameReader {
+    /// Bytes asked of the stream per read, at least.
+    const CHUNK: usize = 16 * 1024;
+
+    pub(crate) fn new() -> Self {
+        FrameReader {
+            buf: vec![0; Self::CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The length of the frame the buffer starts with, once its prefix
+    /// is in.
+    fn frame_len(&self) -> Option<usize> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*prefix) as usize)
+    }
+
+    /// True when a whole frame is buffered, so the next
+    /// [`read_frame`](Self::read_frame) needs no syscall.
+    pub(crate) fn has_frame(&self) -> bool {
+        self.frame_len()
+            .is_some_and(|len| len <= MAX_FRAME_LEN && self.end - self.start >= 4 + len)
+    }
+
+    /// Reads one frame, with the errors of [`read_frame`]. The stream
+    /// ending anywhere, even between frames, is [`WireError::Truncated`].
+    pub(crate) fn read_frame<T: for<'de> Deserialize<'de>, R: Read>(
+        &mut self,
+        source: &mut R,
+    ) -> Result<T, WireError> {
+        loop {
+            let need = match self.frame_len() {
+                Some(len) if len > MAX_FRAME_LEN => return Err(WireError::Oversized(len)),
+                Some(len) if self.end - self.start >= 4 + len => {
+                    let body = self.start + 4..self.start + 4 + len;
+                    self.start = body.end;
+                    let decoded = serde_json::from_slice(&self.buf[body]).map_err(malformed);
+                    if self.start == self.end {
+                        self.start = 0;
+                        self.end = 0;
+                        // One large frame must not pin its buffer.
+                        self.buf.truncate(Self::CHUNK);
+                        self.buf.shrink_to_fit();
+                    }
+                    return decoded;
+                }
+                Some(len) => 4 + len,
+                None => 4,
+            };
+            self.fill(source, need)?;
+        }
+    }
+
+    /// Makes room for a frame of `need` bytes, then reads once.
+    fn fill<R: Read>(&mut self, source: &mut R, need: usize) -> Result<(), WireError> {
+        let room = self.buf.len() - self.end;
+        if self.start > 0 && (self.start + need > self.buf.len() || room < Self::CHUNK / 2) {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.start + need > self.buf.len() {
+            self.buf.resize(need, 0);
+        }
+        loop {
+            match source.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(WireError::Truncated),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(io_error(e)),
+            }
+        }
+    }
+}
+
 /// Decodes one frame from a byte slice.
 pub fn decode_frame<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, WireError> {
     let mut cursor = bytes;

@@ -77,6 +77,13 @@ echo "== batch-equivalence smoke (decide_batch === per-request decide) =="
 timeout 120 cargo test -q --test batch_equivalence
 timeout 120 cargo test -q --test hotpath_equivalence -- batch
 
+echo "== leader/follower serving and caller-read mux replies =="
+timeout 120 cargo test -q -p hetsec-webcom --lib -- \
+    threads_track_the_frames_in_flight a_slow_op_does_not_hold_up_a_later_fast_one \
+    a_deadline_mid_frame_leaves_the_framing_intact \
+    callers_read_each_others_replies_with_no_reader_thread \
+    a_peer_closing_an_idle_connection_costs_one_fast_retryable_failure
+
 echo "== listener bookkeeping: closed connections leave the tracked set =="
 timeout 120 cargo test -q -p hetsec-webcom --lib -- closed_connections_leave_the_tracked_set peer_listener_untracks_closed_connections
 

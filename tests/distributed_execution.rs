@@ -220,8 +220,8 @@ fn denial_surfaces_as_refusal_in_the_engine() {
 
 // ---- Waves pipelined over mux clients ----
 
-/// Serves a `DomA` client over loopback TCP with a worker pool, the
-/// way a pipelined mux transport expects.
+/// Serves a `DomA` client over loopback TCP with several frames in
+/// flight per connection, the way a pipelined mux transport expects.
 fn serve_mux_client(
     name: &str,
     key: &str,
