@@ -7,6 +7,11 @@
 //! policies trust everything (mediation still runs, but the credential
 //! set is trivial).
 //!
+//! `wave32_mux` fires one 32-wide condensed-graph wave of zero-service
+//! `add` ops at one client over loopback TCP (mux transport, client
+//! served at `pipeline` 8): the wave goes out as one `ScheduleBatch`
+//! frame and comes back as one `ReplyBatch` frame.
+//!
 //! The `transport_*` series compares the fabrics the same workload can
 //! ride: in-process channels, loopback TCP through the mux transport
 //! (wire protocol + framing + syscalls), and the same mux behind a fault
@@ -14,14 +19,14 @@
 //! overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hetsec_graphs::Value;
+use hetsec_graphs::{OpExecutor, Value};
 use hetsec_middleware::component::ComponentRef;
 use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
-    serve_tcp, spawn_client, ArithComponentExecutor, AuthzStack, Binding, ChannelTransport,
+    serve_tcp_with, spawn_client, ArithComponentExecutor, AuthzStack, Binding, ChannelTransport,
     ClientConfig, ClientEngine, ClientHandle, ClientTransport, FaultyTransport, MuxTransport,
-    TcpClientServer, TrustManager, WebComMaster,
+    ServeOptions, TcpClientServer, TrustManager, WebComMaster,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -92,8 +97,9 @@ fn fabric(clients: usize, extra_credentials: usize) -> (WebComMaster, Vec<Client
 }
 
 /// A networked client engine with the same trust wiring as [`fabric`]'s
-/// in-process clients, served on an ephemeral loopback port.
-fn tcp_client(i: usize) -> TcpClientServer {
+/// in-process clients, served on an ephemeral loopback port with up to
+/// `pipeline` threads per connection.
+fn tcp_client(i: usize, pipeline: usize) -> TcpClientServer {
     let master_trust =
         tm("Authorizer: POLICY\nLicensees: \"Kmaster\"\nConditions: app_domain==\"WebCom\";\n");
     let user_tm =
@@ -107,7 +113,13 @@ fn tcp_client(i: usize) -> TcpClientServer {
         stack: Arc::new(stack),
         executor: Arc::new(ArithComponentExecutor),
     }));
-    serve_tcp(engine, vec!["Dom".into()], "127.0.0.1:0").expect("bind loopback")
+    serve_tcp_with(
+        engine,
+        vec!["Dom".into()],
+        "127.0.0.1:0",
+        ServeOptions { pipeline },
+    )
+    .expect("bind loopback")
 }
 
 fn bench_fig3(c: &mut Criterion) {
@@ -149,6 +161,23 @@ fn bench_fig3(c: &mut Criterion) {
             h.shutdown();
         }
     }
+    {
+        let master = WebComMaster::new("Kmaster", tm(&client_policy(1)));
+        let server = tcp_client(0, 8);
+        master.register_tcp(server.local_addr()).expect("identify");
+        bind_add(&master);
+        let wave: Vec<(&str, Vec<Value>)> =
+            (0..32).map(|i| ("add", vec![Value::Int(i), Value::Int(1)])).collect();
+        group.throughput(Throughput::Elements(32));
+        group.bench_function("wave32_mux", |b| {
+            b.iter(|| {
+                let out = master.execute_wave(&wave);
+                assert!(out.iter().all(|r| r.is_ok()));
+                black_box(out)
+            })
+        });
+        server.stop();
+    }
     group.finish();
 }
 
@@ -176,7 +205,7 @@ fn bench_transport(c: &mut Criterion) {
 
     {
         let master = WebComMaster::new("Kmaster", tm(&client_policy(1)));
-        let server = tcp_client(0);
+        let server = tcp_client(0, 1);
         master.register_tcp(server.local_addr()).expect("identify");
         bind_add(&master);
         group.bench_function("tcp", |b| {
@@ -192,8 +221,8 @@ fn bench_transport(c: &mut Criterion) {
     {
         let master = WebComMaster::new("Kmaster", tm(&client_policy(2)))
             .with_op_timeout(Duration::from_secs(2));
-        let s0 = tcp_client(0);
-        let s1 = tcp_client(1);
+        let s0 = tcp_client(0, 1);
+        let s1 = tcp_client(1, 1);
         let faulty = Arc::new(FaultyTransport::new(MuxTransport::new(s0.local_addr())));
         master.register_transport("c0", "Kc0", faulty.clone(), vec!["Dom".into()]);
         master.register_tcp(s1.local_addr()).expect("identify");

@@ -14,6 +14,12 @@
 //!    executing user;
 //! 3. only then is the component invoked.
 //!
+//! A batch of ops sharing one head ([`ScheduleBatch`], a client's share
+//! of a condensed-graph wave) is mediated once: stamps are admitted,
+//! the master is authorised and the stack decides once per head, and
+//! only the memo lookup, execution, audit record and outcome are per
+//! op. A single request is a batch of one, so both take one path.
+//!
 //! The engine also keeps an *executed-op memo*: the recorded outcome of
 //! every operation it has run, keyed by `(master_key, op_id)`. When a
 //! master re-asks about an operation — its first call timed out after
@@ -25,12 +31,14 @@
 
 use crate::audit::AuditLog;
 use crate::authz::{AuthzRequest, TrustManager};
-use crate::protocol::{ComponentExecutor, ExecOutcome, ScheduleReply, ScheduleRequest};
-use crate::stack::{AuthzContext, AuthzStack};
+use crate::protocol::{
+    BatchOp, ComponentExecutor, ExecOutcome, ScheduleBatch, ScheduleReply, ScheduleRequest,
+};
+use crate::stack::{AuthzContext, AuthzStack, StackDecision};
 use std::sync::mpsc::{self, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 /// How many executed-op outcomes the memo retains (FIFO eviction). Far
@@ -43,9 +51,10 @@ const OP_MEMO_CAPACITY: usize = 1024;
 /// rides in the envelope — transport plumbing — so the
 /// [`ScheduleRequest`] itself stays plain serializable data.
 pub enum ClientMessage {
-    /// A scheduling request (boxed: requests dwarf the shutdown marker)
-    /// and where its reply goes.
-    Request(Box<ScheduleRequest>, Sender<ScheduleReply>),
+    /// Scheduling requests, as batches each sharing one head, and where
+    /// their replies go: one per op, in batch order, each sent as it is
+    /// ready.
+    Request(Vec<ScheduleBatch>, Sender<ScheduleReply>),
     /// Stop after draining the queue up to this point.
     Shutdown,
 }
@@ -168,26 +177,36 @@ impl ClientEngine {
         self.stats.lock().clone()
     }
 
-    /// Handles one request end to end and builds the correlated reply.
+    /// Handles one request end to end and builds the correlated reply:
+    /// a batch of one.
     pub fn handle(&self, req: &ScheduleRequest) -> ScheduleReply {
-        let (outcome, replayed) = self.decide_and_execute(req);
-        ScheduleReply {
-            op_id: req.op_id,
-            client: self.config.name.clone(),
-            outcome,
-            replayed,
-        }
+        let mut replies = self.handle_batch(ScheduleBatch::from(req.clone()));
+        replies.pop().expect("one reply per op")
     }
 
-    fn decide_and_execute(&self, req: &ScheduleRequest) -> (ExecOutcome, bool) {
+    /// Handles a batch: mediates its head once, then runs each op in
+    /// order. The replies and [`ClientStats`] equal those of handling
+    /// each op as its own request, one after another — except the stamp
+    /// counters, which count a head's stamps once.
+    pub fn handle_batch(&self, mut batch: ScheduleBatch) -> Vec<ScheduleReply> {
+        let ops = std::mem::take(&mut batch.ops);
+        let mediation = self.mediate(batch);
+        ops.iter().map(|op| self.run_op(&mediation, op)).collect()
+    }
+
+    /// The per-head half of handling: admits the head's stamps and
+    /// authorises the master, then keeps the head (its `ops` are
+    /// ignored) for the ops. The stack decides later, once, for the
+    /// first op that is not a memo replay.
+    pub(crate) fn mediate(&self, head: ScheduleBatch) -> Mediation {
         let config = &self.config;
         // 0. Admit verdict stamps before any credential is verified, so
         // the per-credential signature checks below become cache hits.
         // Stamps only ever pre-answer signature verdicts — both
         // mediation steps still run in full.
         if let Some(verifier) = &self.stamp_verifier {
-            if !req.stamps.is_empty() {
-                let delta = verifier.admit(&req.stamps);
+            if !head.stamps.is_empty() {
+                let delta = verifier.admit(&head.stamps);
                 self.stats.lock().stamps.merge(&delta);
             }
         }
@@ -195,41 +214,64 @@ impl ClientEngine {
         // with the request are evaluated request-scoped: they support
         // this decision but are never persisted into the client's store.
         let master_authorised = config.master_trust.decide(
-            &AuthzRequest::principal(&req.master_key)
-                .action(&req.action)
-                .credentials(&req.credentials),
+            &AuthzRequest::principal(&head.master_key)
+                .action(&head.action)
+                .credentials(&head.credentials),
         );
-        if !master_authorised {
+        let master_denied = (!master_authorised).then(|| {
+            format!(
+                "client {}: master key not authorised to schedule {}",
+                config.name,
+                head.action.component.identifier()
+            )
+        });
+        Mediation {
+            ctx: AuthzContext {
+                user: head.user,
+                principal: head.principal,
+                action: head.action,
+                credentials: head.credentials,
+            },
+            master_key: head.master_key,
+            master_denied,
+            stack: OnceLock::new(),
+        }
+    }
+
+    /// The per-op half of handling: memo replay, the head's stack
+    /// decision, audit record, execution and memoisation of one op.
+    pub(crate) fn run_op(&self, mediation: &Mediation, op: &BatchOp) -> ScheduleReply {
+        let (outcome, replayed) = self.decide_and_execute(mediation, op);
+        ScheduleReply {
+            op_id: op.op_id,
+            client: self.config.name.clone(),
+            outcome,
+            replayed,
+        }
+    }
+
+    fn decide_and_execute(&self, mediation: &Mediation, op: &BatchOp) -> (ExecOutcome, bool) {
+        let config = &self.config;
+        if let Some(denial) = &mediation.master_denied {
             self.stats.lock().master_rejected += 1;
-            return (
-                ExecOutcome::Denied(format!(
-                    "client {}: master key not authorised to schedule {}",
-                    config.name,
-                    req.action.component.identifier()
-                )),
-                false,
-            );
+            return (ExecOutcome::Denied(denial.clone()), false);
         }
         // 1b. Executed-op memo: if this (master, op) already ran here,
         // replay the recorded outcome instead of executing twice. The
         // check deliberately sits *after* master mediation — a replay
         // still requires an authorised master — but before the stack,
         // because the stack already permitted the recorded execution.
-        let memo_key = (req.master_key.clone(), req.op_id);
+        let memo_key = (mediation.master_key.clone(), op.op_id);
         if let Some(outcome) = self.memo.lock().get(&memo_key) {
             self.stats.lock().replayed += 1;
             return (outcome, true);
         }
-        // 2. Local stacked mediation for the executing user.
-        let ctx = AuthzContext {
-            user: req.user.clone(),
-            principal: req.principal.clone(),
-            action: req.action.clone(),
-            credentials: req.credentials.clone(),
-        };
-        let decision = config.stack.decide(&ctx);
+        // 2. Local stacked mediation for the executing user, once per
+        // head; every op that relies on it is audited.
+        let ctx = &mediation.ctx;
+        let decision = mediation.stack.get_or_init(|| config.stack.decide(ctx));
         if let Some(audit) = &self.audit {
-            audit.record(&ctx, &decision);
+            audit.record(ctx, decision);
         }
         if !decision.permitted {
             self.stats.lock().stack_denied += 1;
@@ -256,7 +298,7 @@ impl ClientEngine {
         // those on purpose, expecting a fresh attempt.
         let outcome = match config
             .executor
-            .invoke(&req.user, &req.action.component, &req.args)
+            .invoke(&ctx.user, &ctx.action.component, &op.args)
         {
             Ok(v) => {
                 self.stats.lock().executed += 1;
@@ -277,6 +319,17 @@ impl ClientEngine {
         }
         (outcome, false)
     }
+}
+
+/// A batch head's mediation, shared by the batch's ops.
+pub(crate) struct Mediation {
+    /// The head as the stack sees it (and each op's audit record).
+    ctx: AuthzContext,
+    master_key: String,
+    /// Why the master was refused, if it was.
+    master_denied: Option<String>,
+    /// The stack's decision for the head, made when first needed.
+    stack: OnceLock<StackDecision>,
 }
 
 /// A running channel-fabric client and the means to reach it.
@@ -325,11 +378,17 @@ pub fn spawn_engine(engine: Arc<ClientEngine>) -> ClientHandle {
         .name(format!("webcom-client-{name}"))
         .spawn(move || {
             while let Ok(msg) = rx.recv() {
-                let (req, reply_to) = match msg {
-                    ClientMessage::Request(req, reply_to) => (req, reply_to),
+                let (batches, reply_to) = match msg {
+                    ClientMessage::Request(batches, reply_to) => (batches, reply_to),
                     ClientMessage::Shutdown => break,
                 };
-                let _ = reply_to.send(engine.handle(&req));
+                for mut batch in batches {
+                    let ops = std::mem::take(&mut batch.ops);
+                    let mediation = engine.mediate(batch);
+                    for op in &ops {
+                        let _ = reply_to.send(engine.run_op(&mediation, op));
+                    }
+                }
             }
             engine.stats()
         })
@@ -397,7 +456,7 @@ mod tests {
         handle
             .sender()
             .send(ClientMessage::Request(
-                Box::new(ScheduleRequest {
+                vec![ScheduleBatch::from(ScheduleRequest {
                     op_id: 7,
                     action: req_action,
                     user: "worker".into(),
@@ -406,7 +465,7 @@ mod tests {
                     credentials: vec![],
                     stamps: vec![],
                     args: vec![Value::Int(20), Value::Int(22)],
-                }),
+                })],
                 tx,
             ))
             .unwrap();

@@ -227,8 +227,9 @@ impl MasterServer {
 
 /// Puts a master behind a TCP listener answering peer
 /// `Forward`/`ForwardReply` frames — how masters in different processes
-/// form one sharded fabric. `Identify`/`Schedule` frames from stray
-/// clients are answered with a protocol error rather than silence.
+/// form one sharded fabric. `Identify`/`Schedule`/`ScheduleBatch`
+/// frames from stray clients are answered with a protocol error rather
+/// than silence.
 ///
 /// Each connection answers its forwards on one thread (`pipeline` 1):
 /// a [`TcpPeerLink`] has one forward in flight, so a second thread
@@ -255,6 +256,9 @@ pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<Ma
         // port as a schedulable client.
         WireRequest::Identify => WireResponse::Error(ExecError::protocol(
             "this endpoint serves master-to-master forwards, not client identify",
+        )),
+        WireRequest::ScheduleBatch(_) => WireResponse::Error(ExecError::protocol(
+            "this endpoint serves master-to-master forwards, not client batches",
         )),
     };
     let listener = Listener::spawn(addr, "webcom-master-serve".to_string(), 1, handler)?;
@@ -436,6 +440,40 @@ mod tests {
             "adding one shard to three moved {:.0}% of keys",
             frac * 100.0
         );
+    }
+
+    #[test]
+    fn peer_listener_refuses_a_batch_with_a_protocol_error() {
+        use crate::authz::ScheduledAction;
+        use crate::protocol::{BatchOp, ExecErrorKind, ScheduleBatch};
+        use crate::wire::{read_frame, write_frame};
+        use hetsec_middleware::component::ComponentRef;
+        use hetsec_middleware::naming::MiddlewareKind;
+        let master = Arc::new(WebComMaster::new(
+            "Km",
+            Arc::new(TrustManager::permissive()),
+        ));
+        let server = serve_master(master, "127.0.0.1:0").unwrap();
+        let batch = ScheduleBatch {
+            action: ScheduledAction::new(
+                ComponentRef::new(MiddlewareKind::Ejb, "Dom", "Calc", "add"),
+                "Dom",
+                "Worker",
+            ),
+            user: "worker".into(),
+            principal: "Kworker".to_string(),
+            master_key: "Km".to_string(),
+            credentials: vec![],
+            stamps: vec![],
+            ops: (1..=2).map(|op_id| BatchOp { op_id, args: vec![] }).collect(),
+        };
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut stream, &WireRequest::ScheduleBatch(Box::new(batch))).unwrap();
+        match read_frame::<WireResponse, _>(&mut stream).unwrap() {
+            WireResponse::Error(e) => assert_eq!(e.kind, ExecErrorKind::Protocol),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        server.stop();
     }
 
     #[test]

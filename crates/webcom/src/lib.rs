@@ -70,14 +70,15 @@ pub use master::{Binding, BurstOp, MasterStats, RetryPolicy, WebComMaster};
 pub use mux::{MuxTransport, DEFAULT_WINDOW};
 pub use net::{serve_tcp, serve_tcp_with, ServeOptions, TcpClientServer};
 pub use protocol::{
-    ArithComponentExecutor, ClientIdentity, ComponentExecutor, ExecError, ExecErrorKind,
-    ExecOutcome, ScheduleReply, ScheduleRequest, WireRequest, WireResponse, MAX_FORWARD_HOPS,
+    ArithComponentExecutor, BatchOp, ClientIdentity, ComponentExecutor, ExecError, ExecErrorKind,
+    ExecOutcome, ScheduleBatch, ScheduleReply, ScheduleRequest, WireRequest, WireResponse,
+    MAX_FORWARD_HOPS,
 };
 pub use transport::{ChannelTransport, ClientTransport, FaultyTransport, TransportError};
 pub use stamp::{StampIssuer, StampStats, StampVerifier};
 pub use wire::{
-    decode_frame, encode_forward, encode_frame, encode_schedule, read_frame, write_encoded,
-    write_frame, WireError, MAX_DEPTH, MAX_FRAME_LEN,
+    decode_frame, encode_forward, encode_frame, encode_schedule, encode_schedule_batch,
+    read_frame, write_encoded, write_frame, WireError, MAX_DEPTH, MAX_FRAME_LEN,
 };
 pub use stack::{
     ApplicationLayer, AuthzContext, AuthzLayer, AuthzStack, CombinationRule, LayerLevel,

@@ -26,9 +26,13 @@
 //!
 //! A batch ([`ClientTransport::call_batch`], how a condensed-graph wave
 //! reaches the wire) takes as many window slots as are free, registers
-//! that many op ids, writes all their frames with one socket write and
-//! collects the replies by `op_id`, a window at a time. A single call is
-//! a batch of one.
+//! that many op ids, and collects the replies by `op_id`, a window at a
+//! time. The ops of a window that [share a
+//! head](ScheduleRequest::shares_head) go out as one `ScheduleBatch`
+//! frame, ops with other heads as further frames of the same socket
+//! write, and a lone op as a plain `Schedule` frame; the reader routes
+//! each reply of a `ReplyBatch` frame to its caller by `op_id`. A single
+//! call is a batch of one.
 //!
 //! Failure model: when the socket fails under a reader or a writer, the
 //! connection generation is marked dead and every pending op fails. A
@@ -43,9 +47,11 @@
 //! peer. A reply arriving after its caller timed out is dropped
 //! silently — its pending entry is already gone.
 
-use crate::protocol::{ClientIdentity, ScheduleReply, ScheduleRequest, WireRequest};
+use crate::protocol::{head_groups, ClientIdentity, ScheduleReply, ScheduleRequest, WireRequest};
 use crate::transport::{encode_error, exchange, ClientTransport, TransportError};
-use crate::wire::{encode_frame, encode_schedule, write_encoded, FrameReader, WireError};
+use crate::wire::{
+    encode_frame, encode_schedule, encode_schedule_batch, write_encoded, FrameReader, WireError,
+};
 use crate::WireResponse;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
@@ -209,17 +215,17 @@ impl ConnState {
         Ok(())
     }
 
-    /// Puts one window's worth of encoded frames (request index, frame)
-    /// on the wire in a single write and collects their replies by
-    /// `op_id` until `deadline`, filling `results`. `Ok(false)` means
-    /// some op was still unanswered at the deadline: it is withdrawn
-    /// and left `None`. `Err` means the connection was lost: every op
-    /// of the chunk still outstanding is left `None` for the caller to
-    /// fail with that error, and the pending table holds none of them.
+    /// Puts one window's worth of requests (by index) on the wire in a
+    /// single write and collects their replies by `op_id` until
+    /// `deadline`, filling `results`. `Ok(false)` means some op was
+    /// still unanswered at the deadline: it is withdrawn and left
+    /// `None`. `Err` means the connection was lost: every op of the
+    /// chunk still outstanding is left `None` for the caller to fail
+    /// with that error, and the pending table holds none of them.
     fn exchange(
         &self,
         requests: &[&ScheduleRequest],
-        chunk: Vec<(usize, Vec<u8>)>,
+        chunk: Vec<usize>,
         results: &mut [Option<ReplyResult>],
         deadline: Instant,
     ) -> Result<bool, TransportError> {
@@ -233,24 +239,37 @@ impl ConnState {
         // insert: a poison() in between would otherwise orphan entries
         // and block us for the full timeout.
         let (reply_tx, reply_rx) = mpsc::channel::<Delivery>();
-        let mut outstanding: Vec<(u64, usize)> = Vec::with_capacity(chunk.len());
-        let mut wire: Vec<u8> = Vec::new();
-        for (i, frame) in chunk {
-            let op_id = requests[i].op_id;
-            match self.register(op_id, reply_tx.clone()) {
-                Ok(()) if wire.is_empty() => wire = frame,
-                Ok(()) => wire.extend_from_slice(&frame),
-                Err(e @ TransportError::DuplicateOp(_)) => {
-                    results[i] = Some(Err(e));
-                    continue;
-                }
+        let mut registered: Vec<usize> = Vec::with_capacity(chunk.len());
+        for i in chunk {
+            match self.register(requests[i].op_id, reply_tx.clone()) {
+                Ok(()) => registered.push(i),
+                Err(e @ TransportError::DuplicateOp(_)) => results[i] = Some(Err(e)),
                 // Dead mid-registration: poison() drained the entries
                 // registered so far.
                 Err(e) => return Err(e),
             }
-            outstanding.push((op_id, i));
         }
         drop(reply_tx);
+        let mut wire: Vec<u8> = Vec::new();
+        let mut outstanding: Vec<(u64, usize)> = Vec::with_capacity(registered.len());
+        for group in head_groups(requests, &registered) {
+            for (i, frame) in encode_group(requests, &group) {
+                match frame {
+                    Ok(frame) if wire.is_empty() => wire = frame,
+                    Ok(frame) => wire.extend_from_slice(&frame),
+                    Err(e) => {
+                        self.pending.lock().waiters.remove(&requests[i].op_id);
+                        results[i] = Some(Err(e));
+                    }
+                }
+            }
+            outstanding.extend(
+                group
+                    .iter()
+                    .filter(|&&i| results[i].is_none())
+                    .map(|&i| (requests[i].op_id, i)),
+            );
+        }
         if outstanding.is_empty() {
             return Ok(true);
         }
@@ -316,12 +335,8 @@ impl ConnState {
             }
         }
         match frames.read_frame::<WireResponse, _>(&mut &self.stream) {
-            Ok(WireResponse::Reply(reply)) => {
-                let waiter = self.pending.lock().waiters.remove(&reply.op_id);
-                if let Some(tx) = waiter {
-                    let _ = tx.send(Delivery::Reply(Ok(reply)));
-                }
-            }
+            Ok(WireResponse::Reply(reply)) => self.deliver([reply]),
+            Ok(WireResponse::ReplyBatch(replies)) => self.deliver(replies),
             Ok(other) => self.poison(
                 TransportError::Protocol,
                 &format!("unexpected frame {other:?} on a mux connection"),
@@ -332,6 +347,17 @@ impl ConnState {
                 self.poison(TransportError::Closed, &e.to_string())
             }
             Err(e) => self.poison(TransportError::Protocol, &e.to_string()),
+        }
+    }
+
+    /// Hands each reply to the caller waiting for its `op_id`; a reply
+    /// nobody waits for is dropped.
+    fn deliver(&self, replies: impl IntoIterator<Item = ScheduleReply>) {
+        let mut pending = self.pending.lock();
+        for reply in replies {
+            if let Some(tx) = pending.waiters.remove(&reply.op_id) {
+                let _ = tx.send(Delivery::Reply(Ok(reply)));
+            }
         }
     }
 
@@ -362,6 +388,27 @@ impl ConnState {
             }
         }
     }
+}
+
+/// Frames one head group: a lone op as `Schedule`, more as one
+/// `ScheduleBatch`. A batch that cannot be encoded — past the frame
+/// size cap, or one op nesting too deep — falls back to a frame per op,
+/// so only the ops that cannot be encoded on their own fail. Yields the
+/// frames with the index of an op each covers.
+fn encode_group(
+    requests: &[&ScheduleRequest],
+    group: &[usize],
+) -> Vec<(usize, Result<Vec<u8>, TransportError>)> {
+    if group.len() > 1 {
+        let batch: Vec<&ScheduleRequest> = group.iter().map(|&i| requests[i]).collect();
+        if let Ok(frame) = encode_schedule_batch(&batch) {
+            return vec![(group[0], Ok(frame))];
+        }
+    }
+    group
+        .iter()
+        .map(|&i| (i, encode_schedule(requests[i]).map_err(encode_error)))
+        .collect()
 }
 
 /// One caller's wait for a chunk's replies.
@@ -444,6 +491,9 @@ impl MuxTransport {
                     r.op_id
                 )))
             }
+            WireResponse::ReplyBatch(_) => Err(TransportError::Protocol(
+                "expected identity, got a batch of replies".to_string(),
+            )),
         }
     }
 
@@ -477,25 +527,17 @@ impl ClientTransport for MuxTransport {
     }
 
     /// Pipelines the batch: each chunk of up to one window is
-    /// registered, written with a single socket write, and collected by
-    /// `op_id`, so the batch costs one round trip per window rather than
-    /// one per op. Each chunk has `timeout` from when it starts waiting
-    /// for window slots.
+    /// registered, framed a head group to a frame, written with a single
+    /// socket write, and collected by `op_id`, so the batch costs one
+    /// round trip per window rather than one per op. Each chunk has
+    /// `timeout` from when it starts waiting for window slots.
     fn call_batch(
         &self,
         requests: &[&ScheduleRequest],
         timeout: Duration,
     ) -> Vec<Result<ScheduleReply, TransportError>> {
         let mut results: Vec<Option<ReplyResult>> = requests.iter().map(|_| None).collect();
-        // Encode up front: the writer lock then covers only the socket
-        // write, and a frame that cannot be encoded never takes a slot.
-        let mut queue: Vec<(usize, Vec<u8>)> = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            match encode_schedule(request) {
-                Ok(frame) => queue.push((i, frame)),
-                Err(e) => results[i] = Some(Err(encode_error(e))),
-            }
-        }
+        let mut queue: Vec<usize> = (0..requests.len()).collect();
         // What every op left unanswered fails with: a timeout, unless
         // the connection was lost.
         let mut lost: Option<TransportError> = None;
@@ -518,7 +560,7 @@ impl ClientTransport for MuxTransport {
                 conn: Arc::clone(&conn),
                 slots: taken,
             };
-            let chunk: Vec<(usize, Vec<u8>)> = queue.drain(..taken).collect();
+            let chunk: Vec<usize> = queue.drain(..taken).collect();
             match conn.exchange(requests, chunk, &mut results, deadline) {
                 Ok(true) => {}
                 // Unresponsive: the ops not yet sent time out unsent.
@@ -689,6 +731,14 @@ mod tests {
         }
     }
 
+    /// Reads one frame carrying ops sharing a head: their op ids.
+    fn read_batch(stream: &mut TcpStream) -> Vec<u64> {
+        match read_frame::<WireRequest, _>(stream).unwrap() {
+            WireRequest::ScheduleBatch(batch) => batch.ops.iter().map(|op| op.op_id).collect(),
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+
     /// Answers `op_id` with `Ok(op_id)`.
     fn reply(stream: &mut TcpStream, op_id: u64) {
         let frame = encode_frame(&WireResponse::Reply(ScheduleReply {
@@ -718,7 +768,8 @@ mod tests {
     #[test]
     fn batch_replies_in_reverse_order_land_on_their_requests() {
         let (transport, peer) = fake_peer(8, |mut stream| {
-            let ids: Vec<u64> = (0..5).map(|_| read_op(&mut stream)).collect();
+            let ids = read_batch(&mut stream);
+            assert_eq!(ids.len(), 5);
             for &id in ids.iter().rev() {
                 reply(&mut stream, id);
             }
@@ -738,9 +789,10 @@ mod tests {
         let window = 4;
         let (transport, peer) = fake_peer(window, move |mut stream| {
             // Never more than one window outstanding: read a window's
-            // frames, then answer them.
+            // batch frame, then answer it.
             for _ in 0..3 {
-                let ids: Vec<u64> = (0..window).map(|_| read_op(&mut stream)).collect();
+                let ids = read_batch(&mut stream);
+                assert_eq!(ids.len(), window);
                 for id in ids {
                     reply(&mut stream, id);
                 }
@@ -760,7 +812,8 @@ mod tests {
             // Slow but alive: each window is answered after 150 ms, so
             // the batch takes longer than one timeout in total.
             for _ in 0..2 {
-                let ids = [read_op(&mut stream), read_op(&mut stream)];
+                let ids = read_batch(&mut stream);
+                assert_eq!(ids.len(), 2);
                 std::thread::sleep(Duration::from_millis(150));
                 for id in ids {
                     reply(&mut stream, id);
@@ -779,7 +832,8 @@ mod tests {
     #[test]
     fn peer_reset_mid_batch_fails_the_rest_as_retryable_closed() {
         let (transport, peer) = fake_peer(8, |mut stream| {
-            let ids: Vec<u64> = (0..6).map(|_| read_op(&mut stream)).collect();
+            let ids = read_batch(&mut stream);
+            assert_eq!(ids.len(), 6);
             reply(&mut stream, ids[0]);
             reply(&mut stream, ids[1]);
             let _ = stream.shutdown(Shutdown::Both);
@@ -804,8 +858,9 @@ mod tests {
     fn duplicate_op_id_in_a_batch_is_refused_for_that_op_only() {
         let (transport, peer) = fake_peer(8, |mut stream| {
             // Only the two distinct ops reach the wire.
-            for _ in 0..2 {
-                let id = read_op(&mut stream);
+            let ids = read_batch(&mut stream);
+            assert_eq!(ids, [7, 8]);
+            for id in ids {
                 reply(&mut stream, id);
             }
         });
@@ -818,6 +873,31 @@ mod tests {
             results[1]
         );
         assert_eq!(results[2].as_ref().unwrap().op_id, 8);
+        assert_eq!(pending_ops(&transport), 0);
+    }
+
+    #[test]
+    fn a_batch_past_the_frame_cap_goes_out_a_frame_per_op() {
+        let (transport, peer) = fake_peer(8, |mut stream| {
+            for _ in 0..3 {
+                let id = read_op(&mut stream);
+                reply(&mut stream, id);
+            }
+        });
+        // Each op fits a frame; the three together do not.
+        let big = Value::Str("x".repeat(crate::wire::MAX_FRAME_LEN / 2));
+        let requests: Vec<ScheduleRequest> = (1..=3)
+            .map(|id| ScheduleRequest {
+                args: vec![big.clone()],
+                ..request(id)
+            })
+            .collect();
+        let refs: Vec<&ScheduleRequest> = requests.iter().collect();
+        let results = transport.call_batch(&refs, Duration::from_secs(5));
+        peer.join().unwrap();
+        for (id, result) in (1..=3).zip(results) {
+            assert_eq!(result.unwrap().op_id, id);
+        }
         assert_eq!(pending_ops(&transport), 0);
     }
 

@@ -4,9 +4,10 @@
 //! length-prefixed wire protocol ([`crate::wire`]): an `Identify` frame
 //! is answered with the client's [`ClientIdentity`] (the registration
 //! handshake), a `Schedule` frame runs the engine's full mutual
-//! mediation and answers with the correlated reply. The master's peer
-//! listener ([`crate::serve_master`]) is the same listener with another
-//! handler.
+//! mediation and answers with the correlated reply, and a
+//! `ScheduleBatch` frame is mediated once for its shared head and each
+//! of its ops answered by `op_id`. The master's peer listener
+//! ([`crate::serve_master`]) is the same listener with another handler.
 //!
 //! Both run on one listener core: an accept thread, a stop flag, and
 //! the set of live connections. Each connection is served
@@ -16,8 +17,23 @@
 //! read role passes to a thread already waiting for it. With `pipeline`
 //! 1 one thread does it all, a frame at a time. With more, a connection
 //! starts with two threads, so a slow op never holds up the next frame,
-//! and grows toward `pipeline` only while a backlog of whole frames is
-//! visible in its read buffer with every other thread busy handling.
+//! and grows toward `pipeline` only while a backlog of work is visible
+//! with every other thread busy handling.
+//!
+//! A batch frame's ops go into the connection's *backlog* before the
+//! read role passes on. The thread that read the frame runs them one
+//! after another and writes the replies of the ops it ran as one
+//! `ReplyBatch` frame, so a batch of fast ops costs one thread, one
+//! reply frame and no hand-off. While the backlog holds ops or unwritten
+//! replies, the leader's read times out every [`HELP_AFTER`]; once an op
+//! has run that long — it is slow — the leader helps: it takes ops from
+//! the backlog (adding a thread under the growth rule, since the read
+//! role is then free) and writes the replies waiting there. A thread
+//! that takes the read role while the backlog is stalled helps at once,
+//! so slow ops spread over new threads without a timeout per thread. So slow ops still overlap up to `pipeline`, and a slow
+//! op delays its batch-mates' replies by about `HELP_AFTER`, not by its
+//! own run time.
+//!
 //! Malformed, oversized or truncated frames close the connection — they
 //! never panic the server — and a closed connection leaves the tracked
 //! set.
@@ -27,19 +43,48 @@
 //! connections mid-request) — the latter is how tests and benches
 //! simulate a crashed client for the master's failover path.
 
-use crate::client::ClientEngine;
+use crate::client::{ClientEngine, Mediation};
 use crate::protocol::{
-    ClientIdentity, ExecError, ExecOutcome, ScheduleReply, WireRequest, WireResponse,
+    BatchOp, ClientIdentity, ExecError, ExecOutcome, ScheduleBatch, ScheduleReply, WireRequest,
+    WireResponse,
 };
 use crate::wire::{encode_frame, write_encoded, FrameReader};
 use hetsec_rbac::Domain;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Scope};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a batch op may run before it counts as *slow*, and the
+/// connection's leader, while batch work waits, helps with it. Far
+/// above a fast op's run time, so a batch of fast ops finishes on the
+/// thread that read it; and about the most a slow op delays the replies
+/// of its batch-mates, or their start while a thread is free.
+pub const HELP_AFTER: Duration = Duration::from_millis(1);
+
+/// How a listener answers its connections' frames.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// Answers one frame.
+    fn answer(&self, request: WireRequest) -> WireResponse;
+
+    /// Splits a batch frame into ops the connection's threads share,
+    /// or hands it back to be [`answer`](Self::answer)ed whole.
+    fn split(&self, batch: Box<ScheduleBatch>) -> Result<Arc<ServedBatch>, Box<ScheduleBatch>> {
+        Err(batch)
+    }
+}
+
+impl<F> Handler for F
+where
+    F: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+{
+    fn answer(&self, request: WireRequest) -> WireResponse {
+        self(request)
+    }
+}
 
 /// State a listener shares with its accept and connection threads.
 struct ListenerState {
@@ -62,15 +107,12 @@ pub(crate) struct Listener {
 impl Listener {
     /// Binds `addr` and serves each accepted connection with `handler`,
     /// `pipeline` frames at a time (see [`ServeOptions::pipeline`]).
-    pub(crate) fn spawn<H>(
+    pub(crate) fn spawn<H: Handler>(
         addr: &str,
         name: String,
         pipeline: usize,
         handler: H,
-    ) -> std::io::Result<Listener>
-    where
-        H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
-    {
+    ) -> std::io::Result<Listener> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -132,14 +174,12 @@ impl Drop for Listener {
     }
 }
 
-fn accept_loop<H>(
+fn accept_loop<H: Handler>(
     listener: TcpListener,
     handler: Arc<H>,
     pipeline: usize,
     state: Arc<ListenerState>,
-) where
-    H: Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
-{
+) {
     let mut next_id = 0u64;
     while !state.stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -195,7 +235,9 @@ struct Connection<'a, H> {
     turn: Mutex<Turn>,
     /// Serialises reply writes; replies go out in completion order.
     writing: Mutex<()>,
-    /// Threads inside the handler.
+    /// Batch ops not yet started and replies not yet written.
+    backlog: Mutex<Backlog>,
+    /// Threads inside the handler or running batch ops.
     busy: AtomicUsize,
     /// Set once a read fails or a reply cannot be written: no thread
     /// takes another turn.
@@ -210,30 +252,87 @@ struct Turn {
     frames: FrameReader,
     /// Threads serving the connection, at most `pipeline`.
     threads: usize,
+    /// Whether reads time out after [`HELP_AFTER`].
+    polling: bool,
 }
 
-impl<'a, H> Connection<'a, H>
-where
-    H: Fn(WireRequest) -> WireResponse + Sync,
-{
+/// Work published by batch frames.
+#[derive(Default)]
+struct Backlog {
+    /// Batches with ops not yet started, each with its next op.
+    ops: VecDeque<(Arc<ServedBatch>, usize)>,
+    /// Replies of finished ops not yet written.
+    done: Vec<ScheduleReply>,
+    /// When each op now running started.
+    running: Vec<Instant>,
+}
+
+/// A batch op taken from the backlog: the batch, the op's index, and
+/// when it started.
+type Taken = (Arc<ServedBatch>, usize, Instant);
+
+impl Backlog {
+    /// Takes the next op not yet started.
+    fn next_op(&mut self) -> Option<Taken> {
+        let (batch, next) = self.ops.front_mut()?;
+        let started = Instant::now();
+        let op = (Arc::clone(batch), *next, started);
+        *next += 1;
+        if *next == batch.len() {
+            self.ops.pop_front();
+        }
+        self.running.push(started);
+        Some(op)
+    }
+
+    /// Records the reply of the op that started at `started`.
+    fn finish(&mut self, started: Instant, reply: ScheduleReply) {
+        if let Some(k) = self.running.iter().position(|&t| t == started) {
+            self.running.swap_remove(k);
+        }
+        self.done.push(reply);
+    }
+
+    /// True while ops wait to start or replies to be written.
+    fn waiting(&self) -> bool {
+        !self.ops.is_empty() || !self.done.is_empty()
+    }
+
+    /// True when work waits while an op has run for [`HELP_AFTER`]: it
+    /// is slow, and holds up what waits behind it.
+    fn stalled(&self) -> bool {
+        self.waiting() && self.running.iter().any(|t| t.elapsed() >= HELP_AFTER)
+    }
+}
+
+/// What a turn at the socket yields.
+enum Work {
+    /// A frame to answer.
+    Frame(WireRequest),
+    /// Backlog to work through: a batch was just published, or the
+    /// leader's read timed out with backlog waiting.
+    Backlog,
+}
+
+impl<'a, H: Handler> Connection<'a, H> {
     /// Takes turns at the socket until the connection closes. A leader
-    /// adds a thread only when a whole frame is already buffered behind
-    /// the one it took and every other thread is inside the handler,
-    /// so the threads taking turns track the frames actually in flight.
+    /// adds a thread only when work is visible behind what it took — a
+    /// whole frame in the read buffer, or ops in the backlog — and every
+    /// other thread is busy, so the threads taking turns track the work
+    /// actually in flight.
     fn take_turns<'scope>(&'a self, scope: &'scope Scope<'scope, 'a>) {
         loop {
-            let request = {
+            let work = {
                 let mut turn = self.turn.lock();
                 if self.closed.load(Ordering::SeqCst) || self.stop.load(Ordering::SeqCst) {
                     self.closed.store(true, Ordering::SeqCst);
                     return;
                 }
-                let Ok(request) = turn.frames.read_frame::<WireRequest, _>(&mut &self.stream)
-                else {
+                let Some(work) = self.read(&mut turn) else {
                     self.closed.store(true, Ordering::SeqCst);
                     return;
                 };
-                if turn.frames.has_frame()
+                if (turn.frames.has_frame() || !self.backlog.lock().ops.is_empty())
                     && turn.threads < self.pipeline
                     && self.busy.load(Ordering::SeqCst) + 1 == turn.threads
                     && self.follow(scope)
@@ -241,10 +340,14 @@ where
                     turn.threads += 1;
                 }
                 self.busy.fetch_add(1, Ordering::SeqCst);
-                request
+                work
             };
-            let response = (self.handler)(request);
+            let response = match work {
+                Work::Frame(request) => Some(self.handler.answer(request)),
+                Work::Backlog => self.work_backlog(),
+            };
             self.busy.fetch_sub(1, Ordering::SeqCst);
+            let Some(response) = response else { continue };
             let frame = encode_frame(&response);
             let _writing = self.writing.lock();
             if frame.and_then(|f| write_encoded(&mut &self.stream, &f)).is_err() {
@@ -253,6 +356,67 @@ where
                 let _ = self.stream.shutdown(Shutdown::Both);
                 return;
             }
+        }
+    }
+
+    /// As the leader, reads the next frame, publishing a batch frame's
+    /// ops to the backlog before the read role passes on. A stalled
+    /// backlog is work before the socket is, unless a whole frame is
+    /// buffered; while backlog waits, the read gives up every
+    /// [`HELP_AFTER`] to look again. `None` when the connection is done.
+    fn read(&self, turn: &mut Turn) -> Option<Work> {
+        loop {
+            if !turn.frames.has_frame() {
+                let (waiting, stalled) = {
+                    let backlog = self.backlog.lock();
+                    (backlog.waiting(), backlog.stalled())
+                };
+                if stalled {
+                    return Some(Work::Backlog);
+                }
+                if waiting != turn.polling {
+                    self.stream.set_read_timeout(waiting.then_some(HELP_AFTER)).ok()?;
+                    turn.polling = waiting;
+                }
+            }
+            match turn.frames.read_frame::<WireRequest, _>(&mut &self.stream) {
+                Ok(WireRequest::ScheduleBatch(batch)) => match self.handler.split(batch) {
+                    Ok(batch) => {
+                        if batch.len() > 0 {
+                            self.backlog.lock().ops.push_back((batch, 0));
+                        }
+                        return Some(Work::Backlog);
+                    }
+                    Err(batch) => return Some(Work::Frame(WireRequest::ScheduleBatch(batch))),
+                },
+                Ok(request) => return Some(Work::Frame(request)),
+                Err(e) if e.is_timeout() => {}
+                Err(_) => return None,
+            }
+        }
+    }
+
+    /// Runs backlog ops until none is left unstarted, then takes every
+    /// reply waiting to be written — this thread's and any a thread
+    /// still busy with a slow op left behind — as one frame. Once the
+    /// listener stops, ops not yet started never run, as after a crash.
+    fn work_backlog(&self) -> Option<WireResponse> {
+        let mut next = self.backlog.lock().next_op();
+        while let Some((batch, i, started)) = next {
+            let reply = batch.run(i);
+            let mut backlog = self.backlog.lock();
+            backlog.finish(started, reply);
+            next = if self.stop.load(Ordering::SeqCst) {
+                None
+            } else {
+                backlog.next_op()
+            };
+        }
+        let mut done = std::mem::take(&mut self.backlog.lock().done);
+        match done.len() {
+            0 => None,
+            1 => done.pop().map(WireResponse::Reply),
+            _ => Some(WireResponse::ReplyBatch(done)),
         }
     }
 
@@ -267,22 +431,22 @@ where
 
 /// Serves one connection until the peer hangs up, sends garbage, or the
 /// listener stops. With `pipeline` 1 one thread answers each frame
-/// before reading the next. With more, a second thread takes the read
-/// role while the first handles a frame, more join while a backlog of
-/// frames is visible, and replies go out as they complete, so the
-/// client must correlate them by `op_id`. Frames read before the peer
-/// hung up are still answered.
-fn connection_loop<H>(stream: TcpStream, handler: &H, pipeline: usize, stop: &AtomicBool)
-where
-    H: Fn(WireRequest) -> WireResponse + Sync,
-{
+/// before reading the next, and runs a batch frame's ops one after
+/// another. With more, a second thread takes the read role while the
+/// first handles a frame, more join while a backlog of work is visible,
+/// and replies go out as they complete, so the client must correlate
+/// them by `op_id`. Frames read before the peer hung up are still
+/// answered.
+fn connection_loop<H: Handler>(stream: TcpStream, handler: &H, pipeline: usize, stop: &AtomicBool) {
     let conn = Connection {
         stream,
         turn: Mutex::new(Turn {
             frames: FrameReader::new(),
             threads: 1,
+            polling: false,
         }),
         writing: Mutex::new(()),
+        backlog: Mutex::new(Backlog::default()),
         busy: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
         handler,
@@ -318,7 +482,8 @@ impl TcpClientServer {
         Arc::clone(&self.engine)
     }
 
-    /// Schedule frames answered so far.
+    /// Ops answered so far: one per `Schedule` frame and one per op of
+    /// a `ScheduleBatch` frame.
     pub fn served(&self) -> usize {
         self.served.load(Ordering::SeqCst)
     }
@@ -350,15 +515,20 @@ impl TcpClientServer {
 /// Per-connection serving options.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// The most threads that may handle one connection's frames at
-    /// once. 1 (the default) answers each frame before reading the
-    /// next. Above 1, a connection starts with two threads taking turns
-    /// at the socket and adds one, up to this bound, only when a whole
-    /// frame is already buffered behind the one just read and every
-    /// other thread is busy handling — so [`crate::MuxTransport`] can
-    /// keep many ops in flight down one socket without paying for
-    /// threads it does not use. Replies are written as they complete —
-    /// out of order — and the mux correlates them by `op_id`.
+    /// The most threads that may handle one connection's frames and
+    /// batch ops at once. 1 (the default) answers each frame before
+    /// reading the next, running a batch frame's ops one after another.
+    /// Above 1, a connection starts with two threads taking turns at the
+    /// socket and adds one, up to this bound, only when work is already
+    /// waiting behind what the leader took — a whole frame in the read
+    /// buffer, or batch ops left unstarted behind an op that has run
+    /// for [`HELP_AFTER`] — and every other thread is busy — so
+    /// [`crate::MuxTransport`] can keep many ops in flight down one
+    /// socket without paying for threads it does not use. A batch of
+    /// fast ops runs on the thread that read it and is answered with one
+    /// frame; slow ops of a batch overlap up to this bound. Replies are
+    /// written as they complete — out of order — and the mux correlates
+    /// them by `op_id`.
     pub pipeline: usize,
 }
 
@@ -392,32 +562,92 @@ pub fn serve_tcp_with(
         domains,
     };
     let served = Arc::new(AtomicUsize::new(0));
-    let handler_engine = Arc::clone(&engine);
-    let handler_served = Arc::clone(&served);
-    let handler = move |request| match request {
-        WireRequest::Identify => WireResponse::Identity(identity.clone()),
-        WireRequest::Schedule(req) => {
-            let reply = handler_engine.handle(&req);
-            handler_served.fetch_add(1, Ordering::SeqCst);
-            WireResponse::Reply(reply)
-        }
-        // Clients execute for masters; only masters route for masters.
-        WireRequest::Forward { request, .. } => WireResponse::ForwardReply(ScheduleReply {
-            op_id: request.op_id,
-            client: "client".to_string(),
-            outcome: ExecOutcome::Failed(ExecError::protocol(
-                "Forward frames are master-to-master; this endpoint is a client",
-            )),
-            replayed: false,
-        }),
+    let service = ClientService {
+        engine: Arc::clone(&engine),
+        identity,
+        served: Arc::clone(&served),
     };
     let name = format!("webcom-serve-{}", engine.name());
-    let listener = Listener::spawn(addr, name, opts.pipeline, handler)?;
+    let listener = Listener::spawn(addr, name, opts.pipeline, service)?;
     Ok(TcpClientServer {
         engine,
         served,
         listener,
     })
+}
+
+/// The handler behind [`serve_tcp_with`].
+struct ClientService {
+    engine: Arc<ClientEngine>,
+    identity: ClientIdentity,
+    /// Ops answered.
+    served: Arc<AtomicUsize>,
+}
+
+impl Handler for ClientService {
+    fn answer(&self, request: WireRequest) -> WireResponse {
+        match request {
+            WireRequest::Identify => WireResponse::Identity(self.identity.clone()),
+            WireRequest::Schedule(req) => {
+                let mut replies = self.engine.handle_batch(ScheduleBatch::from(*req));
+                self.served.fetch_add(1, Ordering::SeqCst);
+                WireResponse::Reply(replies.pop().expect("one reply per op"))
+            }
+            // Split off to the connection's threads; never answered whole.
+            WireRequest::ScheduleBatch(batch) => {
+                WireResponse::ReplyBatch(self.engine.handle_batch(*batch))
+            }
+            // Clients execute for masters; only masters route for masters.
+            WireRequest::Forward { request, .. } => WireResponse::ForwardReply(ScheduleReply {
+                op_id: request.op_id,
+                client: "client".to_string(),
+                outcome: ExecOutcome::Failed(ExecError::protocol(
+                    "Forward frames are master-to-master; this endpoint is a client",
+                )),
+                replayed: false,
+            }),
+        }
+    }
+
+    fn split(&self, mut batch: Box<ScheduleBatch>) -> Result<Arc<ServedBatch>, Box<ScheduleBatch>> {
+        Ok(Arc::new(ServedBatch {
+            engine: Arc::clone(&self.engine),
+            served: Arc::clone(&self.served),
+            ops: std::mem::take(&mut batch.ops),
+            head: Mutex::new(Some(batch)),
+            mediation: OnceLock::new(),
+        }))
+    }
+}
+
+/// A batch frame being served, whose ops a connection's threads share:
+/// each runs on whichever thread takes it and yields its own reply. The
+/// head is mediated once, by the first thread to run one of the ops.
+pub(crate) struct ServedBatch {
+    engine: Arc<ClientEngine>,
+    served: Arc<AtomicUsize>,
+    ops: Vec<BatchOp>,
+    /// The head, until it is mediated.
+    head: Mutex<Option<Box<ScheduleBatch>>>,
+    mediation: OnceLock<Mediation>,
+}
+
+impl ServedBatch {
+    /// How many ops the batch holds.
+    fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Runs op `i`.
+    fn run(&self, i: usize) -> ScheduleReply {
+        let mediation = self.mediation.get_or_init(|| {
+            let head = self.head.lock().take().expect("a head is mediated once");
+            self.engine.mediate(*head)
+        });
+        let reply = self.engine.run_op(mediation, &self.ops[i]);
+        self.served.fetch_add(1, Ordering::SeqCst);
+        reply
+    }
 }
 
 #[cfg(test)]

@@ -172,6 +172,108 @@ pub struct ScheduleRequest {
     pub args: Vec<Value>,
 }
 
+impl ScheduleRequest {
+    /// True when `self` and `other` differ only in `op_id` and `args`,
+    /// so both can ride one [`ScheduleBatch`] and share one mediation.
+    pub fn shares_head(&self, other: &ScheduleRequest) -> bool {
+        self.action == other.action
+            && self.user == other.user
+            && self.principal == other.principal
+            && self.master_key == other.master_key
+            && self.credentials == other.credentials
+            && self.stamps == other.stamps
+    }
+}
+
+/// Splits `indices` into groups of requests that share a head, each
+/// group in order and the groups in order of their first request.
+pub(crate) fn head_groups(requests: &[&ScheduleRequest], indices: &[usize]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in indices {
+        match groups
+            .iter_mut()
+            .find(|g| requests[g[0]].shares_head(requests[i]))
+        {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
+/// What one op of a [`ScheduleBatch`] carries of its own.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct BatchOp {
+    /// Correlation id; echoed in the op's reply.
+    pub op_id: u64,
+    /// Operand values.
+    pub args: Vec<Value>,
+}
+
+/// Operations that share everything but their op id and operands — a
+/// client's share of a condensed-graph wave — sent as one frame. The
+/// shared *head* (the [`ScheduleRequest`] fields other than `op_id` and
+/// `args`) crosses the wire once, and the client mediates it once;
+/// each op is still answered with its own [`ScheduleReply`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ScheduleBatch {
+    /// What to execute and under which (domain, role).
+    pub action: ScheduledAction,
+    /// The user identity to execute under.
+    pub user: User,
+    /// The user's key (trust-management identity).
+    pub principal: String,
+    /// The master's key.
+    pub master_key: String,
+    /// Credentials supporting every op of the batch.
+    pub credentials: Vec<Assertion>,
+    /// Verdict stamps over `credentials`.
+    pub stamps: Vec<VerdictStamp>,
+    /// The ops, in the order the master sent them.
+    pub ops: Vec<BatchOp>,
+}
+
+impl ScheduleBatch {
+    /// The batch of `requests[i]` for each `i` in `group`, under the
+    /// head of the first; every one must share it.
+    pub(crate) fn of_group(requests: &[&ScheduleRequest], group: &[usize]) -> Self {
+        let head = requests[group[0]];
+        ScheduleBatch {
+            action: head.action.clone(),
+            user: head.user.clone(),
+            principal: head.principal.clone(),
+            master_key: head.master_key.clone(),
+            credentials: head.credentials.clone(),
+            stamps: head.stamps.clone(),
+            ops: group
+                .iter()
+                .map(|&i| BatchOp {
+                    op_id: requests[i].op_id,
+                    args: requests[i].args.clone(),
+                })
+                .collect(),
+        }
+    }
+}
+
+impl From<ScheduleRequest> for ScheduleBatch {
+    /// A batch of one.
+    fn from(request: ScheduleRequest) -> Self {
+        ScheduleBatch {
+            action: request.action,
+            user: request.user,
+            principal: request.principal,
+            master_key: request.master_key,
+            credentials: request.credentials,
+            stamps: request.stamps,
+            ops: vec![BatchOp {
+                op_id: request.op_id,
+                args: request.args,
+            }],
+        }
+    }
+}
+
 /// A client's reply.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleReply {
@@ -229,6 +331,11 @@ pub enum WireRequest {
         /// Forwards taken so far, including the one carrying this frame.
         hops: u8,
     },
+    /// Schedule several operations sharing one head, answered with a
+    /// [`WireResponse::ReplyBatch`] or with one [`WireResponse::Reply`]
+    /// per op, in any mix. A master sends a lone op as
+    /// [`WireRequest::Schedule`], never as a batch of one.
+    ScheduleBatch(Box<ScheduleBatch>),
 }
 
 /// One frame from client to master.
@@ -247,6 +354,9 @@ pub enum WireResponse {
     /// instead of a fabricated reply lets the misdialling side fail
     /// fast with an accurate diagnostic.
     Error(ExecError),
+    /// Answers to ops of [`WireRequest::ScheduleBatch`] frames, each
+    /// correlated by its own `op_id`.
+    ReplyBatch(Vec<ScheduleReply>),
 }
 
 /// Executes middleware components on a client. Implementations wrap the

@@ -16,7 +16,9 @@
 //! registration handshake and the master-to-master peer link.
 
 use crate::client::ClientMessage;
-use crate::protocol::{ExecError, ScheduleReply, ScheduleRequest, WireResponse};
+use crate::protocol::{
+    head_groups, ExecError, ScheduleBatch, ScheduleReply, ScheduleRequest, WireResponse,
+};
 use crate::wire::{read_frame, write_encoded, WireError};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -126,8 +128,10 @@ pub trait ClientTransport: Send + Sync {
 // ---- In-process channel transport ----
 
 /// The in-process fabric: requests travel to the client thread over a
-/// channel, each carrying a fresh reply sender (the envelope owns the
-/// sender — the serializable [`ScheduleRequest`] itself does not).
+/// channel, a batch per message, each message carrying a fresh reply
+/// sender (the envelope owns the sender — the serializable
+/// [`ScheduleRequest`] itself does not). A single call is a batch of
+/// one.
 pub struct ChannelTransport {
     sender: Sender<ClientMessage>,
 }
@@ -145,21 +149,61 @@ impl ClientTransport for ChannelTransport {
         request: &ScheduleRequest,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
+        self.call_batch(&[request], timeout)
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Sends the batch as one message, its requests grouped by shared
+    /// head, and takes the replies as the client sends them, waiting at
+    /// most `timeout` for each. Once one times out the rest fail with a
+    /// timeout too, without waiting.
+    fn call_batch(
+        &self,
+        requests: &[&ScheduleRequest],
+        timeout: Duration,
+    ) -> Vec<Result<ScheduleReply, TransportError>> {
+        let indices: Vec<usize> = (0..requests.len()).collect();
+        let groups = head_groups(requests, &indices);
+        let batches = groups
+            .iter()
+            .map(|group| ScheduleBatch::of_group(requests, group))
+            .collect();
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.sender
-            .send(ClientMessage::Request(Box::new(request.clone()), reply_tx))
-            .map_err(|_| TransportError::Unreachable("client channel closed".to_string()))?;
-        match reply_rx.recv_timeout(timeout) {
-            Ok(reply) if reply.op_id == request.op_id => Ok(reply),
-            Ok(reply) => Err(TransportError::Protocol(format!(
-                "reply for op {} while awaiting op {}",
-                reply.op_id, request.op_id
-            ))),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout(timeout)),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed(
-                "client hung up mid-request".to_string(),
-            )),
+        let mut results: Vec<Option<Result<ScheduleReply, TransportError>>> =
+            requests.iter().map(|_| None).collect();
+        let mut lost = self
+            .sender
+            .send(ClientMessage::Request(batches, reply_tx))
+            .err()
+            .map(|_| TransportError::Unreachable("client channel closed".to_string()));
+        for i in groups.into_iter().flatten() {
+            let op_id = requests[i].op_id;
+            results[i] = Some(match &lost {
+                Some(e) => Err(e.clone()),
+                None => match reply_rx.recv_timeout(timeout) {
+                    Ok(reply) if reply.op_id == op_id => Ok(reply),
+                    Ok(reply) => Err(TransportError::Protocol(format!(
+                        "reply for op {} while awaiting op {op_id}",
+                        reply.op_id
+                    ))),
+                    Err(e) => {
+                        let e = match e {
+                            RecvTimeoutError::Timeout => TransportError::Timeout(timeout),
+                            RecvTimeoutError::Disconnected => TransportError::Closed(
+                                "client hung up mid-request".to_string(),
+                            ),
+                        };
+                        lost = Some(e.clone());
+                        Err(e)
+                    }
+                },
+            });
         }
+        results
+            .into_iter()
+            .map(|r| r.expect("every request is in one group"))
+            .collect()
     }
 
     fn describe(&self) -> String {

@@ -25,12 +25,15 @@
 //!   fields stay compatible with older peers.
 //!
 //! Callers that share a socket encode a frame first and hold the
-//! writer lock only for [`write_encoded`]. [`encode_schedule`] and
-//! [`encode_forward`] frame a borrowed [`ScheduleRequest`] with the same
-//! bytes as the owned [`WireRequest`] variants, without cloning it.
+//! writer lock only for [`write_encoded`]. [`encode_schedule`],
+//! [`encode_forward`] and [`encode_schedule_batch`] frame borrowed
+//! [`ScheduleRequest`]s with the same bytes as the owned
+//! [`WireRequest`] variants, without cloning them.
+//!
+//! [`WireRequest`]: crate::WireRequest
 
 use crate::protocol::ScheduleRequest;
-use serde::ser::SerializeStruct;
+use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize, Serializer};
 use std::io::{Read, Write};
 
@@ -121,6 +124,53 @@ pub fn encode_frame<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, WireErr
 enum RequestRef<'a> {
     Schedule(&'a ScheduleRequest),
     Forward { request: &'a ScheduleRequest, hops: u8 },
+    /// Requests sharing one head; serializes as the owned
+    /// `ScheduleBatch` of their head and their `(op_id, args)`.
+    ScheduleBatch(&'a [&'a ScheduleRequest]),
+}
+
+/// The `ops` of a borrowed batch.
+struct OpsRef<'a>(&'a [&'a ScheduleRequest]);
+
+impl Serialize for OpsRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for request in self.0 {
+            seq.serialize_element(&OpRef(request))?;
+        }
+        seq.end()
+    }
+}
+
+/// One op of a borrowed batch: a `BatchOp`.
+struct OpRef<'a>(&'a ScheduleRequest);
+
+impl Serialize for OpRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut st = serializer.serialize_struct("BatchOp", 2)?;
+        st.serialize_field("op_id", &self.0.op_id)?;
+        st.serialize_field("args", &self.0.args)?;
+        st.end()
+    }
+}
+
+/// The body of a borrowed batch: the head of its first request.
+struct BatchRef<'a>(&'a [&'a ScheduleRequest]);
+
+impl Serialize for BatchRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        // Field order follows `ScheduleBatch`'s declaration order.
+        let head = self.0[0];
+        let mut st = serializer.serialize_struct("ScheduleBatch", 7)?;
+        st.serialize_field("action", &head.action)?;
+        st.serialize_field("user", &head.user)?;
+        st.serialize_field("principal", &head.principal)?;
+        st.serialize_field("master_key", &head.master_key)?;
+        st.serialize_field("credentials", &head.credentials)?;
+        st.serialize_field("stamps", &head.stamps)?;
+        st.serialize_field("ops", &OpsRef(self.0))?;
+        st.end()
+    }
 }
 
 impl Serialize for RequestRef<'_> {
@@ -136,6 +186,12 @@ impl Serialize for RequestRef<'_> {
                 st.serialize_field("hops", &hops)?;
                 st.end()
             }
+            RequestRef::ScheduleBatch(requests) => serializer.serialize_newtype_variant(
+                "WireRequest",
+                3,
+                "ScheduleBatch",
+                &BatchRef(requests),
+            ),
         }
     }
 }
@@ -149,6 +205,15 @@ pub fn encode_schedule(request: &ScheduleRequest) -> Result<Vec<u8>, WireError> 
 /// `request`.
 pub fn encode_forward(request: &ScheduleRequest, hops: u8) -> Result<Vec<u8>, WireError> {
     encode_frame(&RequestRef::Forward { request, hops })
+}
+
+/// Frames `WireRequest::ScheduleBatch` of `requests` without cloning
+/// them. The batch's head is the first request's: every request must
+/// [share it](ScheduleRequest::shares_head). `requests` must not be
+/// empty.
+pub fn encode_schedule_batch(requests: &[&ScheduleRequest]) -> Result<Vec<u8>, WireError> {
+    debug_assert!(requests.iter().all(|r| r.shares_head(requests[0])));
+    encode_frame(&RequestRef::ScheduleBatch(requests))
 }
 
 /// Writes one already-encoded frame to a stream.
@@ -330,6 +395,7 @@ mod tests {
     #[test]
     fn borrowed_requests_frame_like_the_owned_variants() {
         use crate::authz::ScheduledAction;
+        use crate::protocol::{BatchOp, ScheduleBatch};
         use hetsec_graphs::Value;
         use hetsec_middleware::component::ComponentRef;
         use hetsec_middleware::naming::MiddlewareKind;
@@ -351,5 +417,17 @@ mod tests {
         assert_eq!(encode_schedule(&request).unwrap(), encode_frame(&owned).unwrap());
         let owned = WireRequest::Forward { request: Box::new(request.clone()), hops: 2 };
         assert_eq!(encode_forward(&request, 2).unwrap(), encode_frame(&owned).unwrap());
+        let second = ScheduleRequest {
+            op_id: 4,
+            args: vec![],
+            ..request.clone()
+        };
+        let mut owned = ScheduleBatch::from(request.clone());
+        owned.ops.push(BatchOp { op_id: 4, args: vec![] });
+        let owned = WireRequest::ScheduleBatch(Box::new(owned));
+        assert_eq!(
+            encode_schedule_batch(&[&request, &second]).unwrap(),
+            encode_frame(&owned).unwrap()
+        );
     }
 }

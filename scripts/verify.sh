@@ -84,6 +84,13 @@ timeout 120 cargo test -q -p hetsec-webcom --lib -- \
     callers_read_each_others_replies_with_no_reader_thread \
     a_peer_closing_an_idle_connection_costs_one_fast_retryable_failure
 
+echo "== wave batching: one frame each way, one mediation per head =="
+timeout 120 cargo test -q --test wave_batching -- \
+    handle_batch_equals_per_op_handle_on_a_twin_engine \
+    batch_frames_match_their_golden_bytes \
+    a_slow_op_does_not_hold_back_its_batch_mates
+timeout 120 cargo test -q --test wave_frame_count -- a_32_wide_zero_service_wave_is_one_frame_each_way
+
 echo "== listener bookkeeping: closed connections leave the tracked set =="
 timeout 120 cargo test -q -p hetsec-webcom --lib -- closed_connections_leave_the_tracked_set peer_listener_untracks_closed_connections
 
