@@ -36,7 +36,8 @@
 //!   [--callers C] [--pipeline P] [--service-us U] [--zipf E]
 //!   [--open RATE] [--seed S] [--json]` — the closed-loop
 //!   load harness: builds an in-process sharded fabric and drives a
-//!   Zipf-distributed synthetic-principal workload through it.
+//!   Zipf-distributed synthetic-principal workload through it with
+//!   `C` caller threads per shard, each scheduling one op at a time.
 //!
 //! `serve` and `connect` make the master/client fabric runnable as two
 //! OS processes (see the README quick-start); `loadgen` is the
@@ -375,7 +376,6 @@ pub fn sharded_serve_command(
         .map_err(|e| CliError::Net(format!("bind {bind}: {e}")))?;
         let master = hetsec_webcom::WebComMaster::new(CLI_MASTER_KEY, Arc::clone(&client_trust))
             .with_op_timeout(std::time::Duration::from_secs(5))
-            .with_burst_parallelism(4)
             .with_stamp_issuer(Arc::clone(&stamp_issuers[s]))
             .with_stamp_verifier(fleet_verifier(client_trust.verify_cache()));
         for d in &delegations {
@@ -422,7 +422,8 @@ pub fn sharded_serve_command(
         ));
     }
     // Drive the demo burst through shard 0 only: ops whose principal
-    // hashes elsewhere must forward over the TCP peer links.
+    // hashes elsewhere must forward over the TCP peer links. It is one
+    // burst, so every op's deadline runs from its start.
     let burst: Vec<hetsec_webcom::BurstOp> = (0..ops)
         .map(|i| hetsec_webcom::BurstOp {
             action: hetsec_webcom::ScheduledAction::new(
@@ -784,7 +785,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "loadgen" => {
             let loadgen_usage = "hetsec loadgen [--principals N] [--ops N] [--shards N] \
                  [--window W] [--callers C] [--pipeline P] [--service-us U] \
-                 [--zipf E] [--open RATE] [--seed S] [--json]";
+                 [--zipf E] [--open RATE] [--seed S] [--json] \
+                 (C: closed-loop caller threads per shard)";
             let mut cfg = hetsec_webcom::LoadConfig {
                 principals: 10_000,
                 ops: 500,

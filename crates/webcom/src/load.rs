@@ -34,6 +34,7 @@ use hetsec_middleware::component::ComponentRef;
 use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_rbac::User;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,8 +64,8 @@ pub struct LoadConfig {
     pub shards: usize,
     /// Mux in-flight window per connection.
     pub window: usize,
-    /// Closed-loop caller population per shard (the master's burst
-    /// parallelism).
+    /// Closed-loop caller threads per shard, each scheduling one op at
+    /// a time on its shard's master.
     pub callers: usize,
     /// The most threads that may handle one client connection's frames
     /// at once ([`crate::ServeOptions::pipeline`]).
@@ -288,7 +289,6 @@ impl Fabric {
                 trust_keys(std::slice::from_ref(&worker_key)),
             )
             .with_op_timeout(Duration::from_secs(10))
-            .with_burst_parallelism(cfg.callers)
             .with_health_config(HealthConfig {
                 max_in_flight: (cfg.window.max(cfg.callers) * 2).max(64),
                 ..HealthConfig::default()
@@ -352,7 +352,7 @@ pub fn run_load_with_stack(cfg: &LoadConfig, stack: &Arc<AuthzStack>) -> LoadRep
     let total = ops.len();
     let started = Instant::now();
     let outcomes = match cfg.arrival {
-        Arrival::Closed => fabric.router.schedule_burst(ops),
+        Arrival::Closed => run_closed(&fabric.router, ops, cfg.callers),
         Arrival::Open { ops_per_sec } => run_open(&fabric.router, ops, ops_per_sec),
     };
     let elapsed = started.elapsed();
@@ -378,9 +378,49 @@ pub fn run_load_with_stack(cfg: &LoadConfig, stack: &Arc<AuthzStack>) -> LoadRep
     report
 }
 
+/// Closed arrival: each shard's ops (split by ring owner, as the
+/// router splits them) are shared by `callers` threads through one
+/// cursor; each thread schedules its next op as a burst of one on the
+/// shard's master as soon as its previous op completes.
+fn run_closed(router: &ShardRouter, ops: Vec<BurstOp>, callers: usize) -> Vec<ExecOutcome> {
+    let mut outcomes: Vec<Option<ExecOutcome>> = ops.iter().map(|_| None).collect();
+    let mut shares: Vec<Vec<(usize, BurstOp)>> =
+        router.masters().iter().map(|_| Vec::new()).collect();
+    for (i, op) in ops.into_iter().enumerate() {
+        shares[router.shard_of(&op.principal)].push((i, op));
+    }
+    let cursors: Vec<AtomicUsize> = shares.iter().map(|_| AtomicUsize::new(0)).collect();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for ((master, share), cursor) in router.masters().iter().zip(&shares).zip(&cursors) {
+            for _ in 0..callers {
+                handles.push(scope.spawn(move || {
+                    let mut done = Vec::new();
+                    while let Some((i, op)) = share.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let outcome = master.schedule_burst(vec![op.clone()]).pop();
+                        done.push((*i, outcome.expect("a burst of one yields one outcome")));
+                    }
+                    done
+                }));
+            }
+        }
+        for h in handles {
+            for (i, outcome) in h.join().expect("closed-loop caller") {
+                outcomes[i] = Some(outcome);
+            }
+        }
+    });
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every op is scheduled"))
+        .collect()
+}
+
 /// Open arrival: inject tick-sized batches at the offered rate from
-/// spawned threads, then join them all. Completion lag shows up as
-/// dispatch latency, not as a slower injection rate.
+/// spawned threads, then join them all. Each tick's ops go out as one
+/// burst, so their latency and deadline run from the tick, their
+/// arrival time. Completion lag shows up as dispatch latency, not as a
+/// slower injection rate.
 fn run_open(router: &ShardRouter, mut ops: Vec<BurstOp>, ops_per_sec: f64) -> Vec<ExecOutcome> {
     const TICK: Duration = Duration::from_millis(20);
     let per_tick = ((ops_per_sec * TICK.as_secs_f64()).ceil() as usize).max(1);

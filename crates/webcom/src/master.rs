@@ -22,11 +22,13 @@
 //! a whole-operation deadline so one operation can never block for
 //! `targets × max_attempts × op_timeout`.
 //!
-//! A condensed graph's wave of independent primitives goes through
-//! [`WebComMaster::schedule_wave`]: each client's share of the wave's
-//! first attempts is sent as one batch, and only what the batch does not
-//! settle walks the per-op loop, still inside the deadline measured from
-//! the wave's start.
+//! Independent operations have one dispatch path,
+//! [`WebComMaster::schedule_burst`]; a condensed graph's wave, a
+//! router's share and a single `schedule` are all bursts. Each client's
+//! share of a burst's first attempts is sent as one batch, forwards run
+//! per home shard, and only what a batch does not settle walks the
+//! per-op loop, still inside the deadline measured from the burst's
+//! start. A burst of one op is a plain call.
 
 use crate::authz::{AuthzRequest, ScheduledAction, TrustManager};
 use crate::client::ClientHandle;
@@ -87,9 +89,9 @@ struct RoutedOp {
     targets: Vec<Target>,
 }
 
-/// A wave op whose first attempt did not settle it, with what the
-/// per-op loop needs to carry on.
-type Unsettled = (ScheduleRequest, Vec<Target>);
+/// A local op queued for its healthiest target: its place in the
+/// burst, its request, and its health-ordered targets.
+type Queued = (usize, ScheduleRequest, Vec<Target>);
 
 /// Panic-safe increment/decrement of the in-flight gauge.
 struct GaugeGuard<'a>(&'a AtomicUsize);
@@ -323,9 +325,6 @@ pub struct WebComMaster {
     schedule_deadline: Option<Duration>,
     /// Health model applied to clients registered from here on.
     health_cfg: HealthConfig,
-    /// Worker threads a `schedule_burst` call may use to dispatch its
-    /// operations concurrently (1 = the classic sequential loop).
-    burst_parallelism: usize,
     /// Signs verdict stamps over the forwarded credentials so receiving
     /// nodes can admit their verdicts without per-credential RSA.
     stamp_issuer: Option<Arc<StampIssuer>>,
@@ -355,7 +354,6 @@ impl WebComMaster {
             op_timeout: Duration::from_secs(5),
             schedule_deadline: None,
             health_cfg: HealthConfig::default(),
-            burst_parallelism: 1,
             stamp_issuer: None,
             stamp_verifier: None,
             shard: RwLock::new(None),
@@ -391,17 +389,6 @@ impl WebComMaster {
     /// this call — configure the master before registering clients.
     pub fn with_health_config(mut self, cfg: HealthConfig) -> Self {
         self.health_cfg = cfg;
-        self
-    }
-
-    /// Lets one [`schedule_burst`](Self::schedule_burst) call dispatch
-    /// up to `n` operations concurrently. The default of 1 keeps the
-    /// sequential loop (and its deterministic call ordering, which the
-    /// scripted-transport tests rely on); the sharded fabric and the
-    /// load harness raise it so a burst's ops overlap in flight — the
-    /// whole point of the multiplexed transport.
-    pub fn with_burst_parallelism(mut self, n: usize) -> Self {
-        self.burst_parallelism = n.max(1);
         self
     }
 
@@ -581,187 +568,146 @@ impl WebComMaster {
         .expect("burst of one yields one outcome")
     }
 
-    /// Schedules a whole burst of operations, pre-authorising every
-    /// (client × operation) pair in a single
-    /// [`TrustManager::decide_batch`] call before any dispatch begins —
-    /// the client registry is read once and each trust-cache shard lock
-    /// is taken once for the whole burst, instead of once per
-    /// operation. Operations are then dispatched in order, each through
-    /// the same health-ordered retry/failover loop as
-    /// [`schedule`](Self::schedule); outcomes are positionally aligned
-    /// with `ops`.
+    /// Schedules a burst of independent operations — a condensed
+    /// graph's wave, a router's share of ops, a tick of arrivals — and
+    /// returns their outcomes positionally aligned with `ops`.
+    ///
+    /// Every (client × operation) pair is authorised in one
+    /// [`TrustManager::decide_batch`] before any dispatch. Local ops are
+    /// grouped by their healthiest target, and each group's first
+    /// attempts go out as one [`ClientTransport::call_batch`]: over a
+    /// pipelined transport a burst costs about one round trip instead of
+    /// one per op. Each batched op takes its own health permit and
+    /// in-flight gauge, and its reply is accounted exactly as a
+    /// dispatch-loop attempt. What a batch does not settle — ops a
+    /// client's quota or breaker refuses, retryable failures and
+    /// timeouts — walks the per-op retry/failover loop (the executed-op
+    /// memo makes re-asking the same client safe). Ops a peer shard owns
+    /// are forwarded, each home shard's ops in order on one thread,
+    /// alongside the batches. Every op's whole-operation deadline runs
+    /// from the burst's start. A burst of one op is a plain call through
+    /// the per-op loop.
+    ///
+    /// A failed batched attempt counts in the client's health and in
+    /// `timeouts`; the retries, failovers and reschedules that follow it
+    /// are the per-op loop's own.
     pub fn schedule_burst(&self, ops: Vec<BurstOp>) -> Vec<ExecOutcome> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
         let (shard, jobs) = self.route(ops);
-        let par = self.burst_parallelism.min(jobs.len()).max(1);
-        if par == 1 {
+        let shard = shard.as_deref();
+        let started = Instant::now();
+        if jobs.len() <= 1 {
             return jobs
                 .into_iter()
-                .map(|job| self.run_op(shard.as_deref(), job, Instant::now()))
+                .map(|job| self.run_op(shard, job, started))
                 .collect();
         }
-        // Round-robin the jobs over `par` scoped workers and reassemble
-        // positionally, so outcomes stay aligned with `ops` while up to
-        // `par` dispatches are in flight at once (a pipelined transport
-        // turns that into many requests down one socket).
-        let total = jobs.len();
-        let mut worker_jobs: Vec<Vec<(usize, RoutedOp)>> = (0..par).map(|_| Vec::new()).collect();
+        let mut outcomes: Vec<Option<ExecOutcome>> = jobs.iter().map(|_| None).collect();
+        // Local ops are grouped by their healthiest target and forwards
+        // by their home shard; an op no client may run fails at once.
+        let mut batches: Vec<Vec<Queued>> = Vec::new();
+        let mut homes: HashMap<usize, Vec<(usize, RoutedOp)>> = HashMap::new();
         for (i, job) in jobs.into_iter().enumerate() {
-            worker_jobs[i % par].push((i, job));
-        }
-        let mut outcomes: Vec<Option<ExecOutcome>> = (0..total).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let shard = &shard;
-            let handles: Vec<_> = worker_jobs
-                .into_iter()
-                .map(|jobs| {
-                    s.spawn(move || {
-                        jobs.into_iter()
-                            .map(|(i, job)| (i, self.run_op(shard.as_deref(), job, Instant::now())))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, out) in h.join().expect("burst worker panicked") {
-                    outcomes[i] = Some(out);
-                }
+            if let Some(home) = job.home {
+                homes.entry(home).or_default().push((i, job));
+                continue;
             }
+            if job.targets.is_empty() {
+                outcomes[i] = Some(self.run_op(shard, job, started));
+                continue;
+            }
+            let targets = health_ordered(job.targets);
+            let request = self.build_request(job.op_id, job.op);
+            let first = &targets[0].health;
+            match batches
+                .iter_mut()
+                .find(|b| Arc::ptr_eq(&b[0].2[0].health, first))
+            {
+                Some(batch) => batch.push((i, request, targets)),
+                None => batches.push(vec![(i, request, targets)]),
+            }
+        }
+        // A thread per batch and per home shard; the last batch runs
+        // inline.
+        let last = batches.pop();
+        let done = std::thread::scope(|s| {
+            let forwards = homes.into_values().map(|jobs| {
+                s.spawn(move || {
+                    jobs.into_iter()
+                        .map(|(i, job)| (i, self.run_op(shard, job, started)))
+                        .collect::<Vec<_>>()
+                })
+            });
+            let handles: Vec<_> = batches
+                .into_iter()
+                .map(|batch| s.spawn(move || self.dispatch_batch(batch, started)))
+                .chain(forwards)
+                .collect();
+            let mut done = last.map_or_else(Vec::new, |b| self.dispatch_batch(b, started));
+            for h in handles {
+                done.extend(h.join().expect("burst share panicked"));
+            }
+            done
         });
+        for (i, outcome) in done {
+            outcomes[i] = Some(outcome);
+        }
         outcomes
             .into_iter()
             .map(|o| o.expect("every burst op produces an outcome"))
             .collect()
     }
 
-    /// Schedules a wave of independent operations, putting each
-    /// client's share of first attempts on the wire as one batch
-    /// ([`ClientTransport::call_batch`]): over a pipelined transport a
-    /// wave costs about one round trip instead of one per op. Routing
-    /// and authorisation are the single matrix of
-    /// [`schedule_burst`](Self::schedule_burst). Each batched op takes
-    /// its own health permit and in-flight gauge, and its reply is
-    /// accounted exactly as a dispatch-loop attempt. Every op the batch
-    /// does not settle — forwarded ops, ops a client's quota or breaker
-    /// refuses, retryable failures and timeouts — falls through to the
-    /// per-op retry/failover loop, whose whole-operation deadline still
-    /// runs from the wave's start (the executed-op memo makes re-asking
-    /// the same client safe). A failed batched attempt counts in the
-    /// client's health and in `timeouts`; the retries, failovers and
-    /// reschedules that follow it are the per-op loop's own. A wave of
-    /// one op takes exactly the `schedule_burst` path. Outcomes are
-    /// positionally aligned with `ops`.
-    pub fn schedule_wave(&self, ops: Vec<BurstOp>) -> Vec<ExecOutcome> {
-        if ops.len() <= 1 {
-            return self.schedule_burst(ops);
-        }
-        let started = Instant::now();
-        let (shard, jobs) = self.route(ops);
-        let mut outcomes: Vec<Option<ExecOutcome>> = jobs.iter().map(|_| None).collect();
-        // Local ops go out grouped by their healthiest target; the rest
-        // wait for the per-op loop.
-        let mut groups: Vec<Vec<(usize, ScheduleRequest, Vec<Target>)>> = Vec::new();
-        let mut leftovers: Vec<(usize, RoutedOp)> = Vec::new();
-        for (i, job) in jobs.into_iter().enumerate() {
-            if job.home.is_some() || job.targets.is_empty() {
-                leftovers.push((i, job));
-                continue;
-            }
-            let targets = health_ordered(job.targets);
-            let request = self.build_request(job.op_id, job.op);
-            let first = &targets[0].health;
-            match groups
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g[0].2[0].health, first))
-            {
-                Some(group) => group.push((i, request, targets)),
-                None => groups.push(vec![(i, request, targets)]),
-            }
-        }
-        // One batch per client, concurrently; the last runs inline.
-        let last = groups.pop();
-        let settled = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| s.spawn(move || self.first_attempts(group, started)))
-                .collect();
-            let mut settled = last.map_or_else(Vec::new, |g| self.first_attempts(g, started));
-            for h in handles {
-                settled.extend(h.join().expect("wave batch panicked"));
-            }
-            settled
-        });
-        for (i, result) in settled {
-            outcomes[i] = Some(match result {
-                Ok(outcome) => outcome,
-                Err((request, targets)) => self.dispatch_to(&request, targets, started),
-            });
-        }
-        for (i, job) in leftovers {
-            outcomes[i] = Some(self.run_op(shard.as_deref(), job, started));
-        }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every wave op produces an outcome"))
-            .collect()
-    }
-
-    /// One client's share of a wave: admits each op through the
+    /// One client's share of a burst: admits each op through the
     /// client's health (its own permit and gauge), sends the admitted
-    /// ops as one batch, and settles each reply as a first attempt of
-    /// the dispatch loop. Ops refused admission or left unsettled come
-    /// back as `Err` for the per-op loop.
-    fn first_attempts(
-        &self,
-        group: Vec<(usize, ScheduleRequest, Vec<Target>)>,
-        started: Instant,
-    ) -> Vec<(usize, Result<ExecOutcome, Unsettled>)> {
-        let first = &group[0].2[0];
+    /// ops as one batch and settles each reply as a first attempt of the
+    /// dispatch loop. Ops refused admission or left unsettled then walk
+    /// the per-op loop, inside the deadline from `started`.
+    fn dispatch_batch(&self, batch: Vec<Queued>, started: Instant) -> Vec<(usize, ExecOutcome)> {
+        let first = &batch[0].2[0];
         let (transport, health) = (Arc::clone(&first.transport), Arc::clone(&first.health));
-        let mut settled = Vec::with_capacity(group.len());
-        let mut admitted = Vec::with_capacity(group.len());
-        for (i, request, targets) in group {
+        let mut done = Vec::with_capacity(batch.len());
+        let mut unsettled = Vec::new();
+        let mut admitted = Vec::with_capacity(batch.len());
+        for (i, request, targets) in batch {
             match health.try_begin(false) {
                 Ok(permit) => {
                     let gauge = GaugeGuard::new(&self.in_flight);
                     admitted.push((i, request, targets, permit, gauge));
                 }
-                Err(Refusal::Open | Refusal::Saturated) => {
-                    settled.push((i, Err((request, targets))))
-                }
+                Err(Refusal::Open | Refusal::Saturated) => unsettled.push((i, request, targets)),
             }
         }
-        // Nothing admitted, or past the deadline (the per-op loop
-        // reports it).
+        // Past the deadline, the per-op loop reports it.
         let budget = remaining_budget(started, self.schedule_deadline());
-        let Some(budget) = budget.filter(|_| !admitted.is_empty()) else {
-            settled.extend(admitted.into_iter().map(|(i, r, t, ..)| (i, Err((r, t)))));
-            return settled;
-        };
-        let requests: Vec<&ScheduleRequest> = admitted.iter().map(|a| &a.1).collect();
-        let call_started = Instant::now();
-        let replies = transport.call_batch(&requests, budget.min(self.op_timeout));
-        for ((i, request, targets, mut permit, _gauge), reply) in admitted.into_iter().zip(replies)
-        {
-            let result = match self.settle(reply, &mut permit, call_started, false) {
-                Ok(outcome) => {
-                    self.dispatch_hist.record(started.elapsed());
-                    Ok(outcome)
+        if let Some(budget) = budget.filter(|_| !admitted.is_empty()) {
+            let requests: Vec<&ScheduleRequest> = admitted.iter().map(|a| &a.1).collect();
+            let call_started = Instant::now();
+            let replies = transport.call_batch(&requests, budget.min(self.op_timeout));
+            for ((i, request, targets, mut permit, _gauge), reply) in
+                admitted.into_iter().zip(replies)
+            {
+                match self.settle(reply, &mut permit, call_started, false) {
+                    Ok(outcome) => {
+                        self.dispatch_hist.record(started.elapsed());
+                        done.push((i, outcome));
+                    }
+                    Err(_) => unsettled.push((i, request, targets)),
                 }
-                Err(_) => Err((request, targets)),
-            };
-            settled.push((i, result));
+            }
+        } else {
+            unsettled.extend(admitted.into_iter().map(|(i, r, t, ..)| (i, r, t)));
         }
-        settled
+        for (i, request, targets) in unsettled {
+            done.push((i, self.dispatch_to(&request, targets, started)));
+        }
+        done
     }
 
-    /// Routes and authorises a burst or wave, numbering its ops in
-    /// order. `home` is `Some` when the principal hashes to a peer's
-    /// shard: the owner authorises against its own policy and cache,
-    /// so forwarded ops are excluded from the local authorisation
-    /// matrix entirely (share-nothing hot path).
+    /// Routes and authorises a burst, numbering its ops in order.
+    /// `home` is `Some` when the principal hashes to a peer's shard: the
+    /// owner authorises against its own policy and cache, so forwarded
+    /// ops are excluded from the local authorisation matrix entirely
+    /// (share-nothing hot path).
     fn route(&self, ops: Vec<BurstOp>) -> (Option<Arc<ShardInfo>>, Vec<RoutedOp>) {
         let shard = self.shard.read().clone();
         let route: Vec<Option<usize>> = ops
@@ -798,7 +744,7 @@ impl WebComMaster {
     fn run_op(&self, shard: Option<&ShardInfo>, job: RoutedOp, started: Instant) -> ExecOutcome {
         match (shard, job.home) {
             (Some(info), Some(home)) => self.forward_op(info, home, job.op_id, job.op, started),
-            _ => self.schedule_on(job.op_id, job.op, job.targets, started),
+            _ => self.dispatch_to(&self.build_request(job.op_id, job.op), job.targets, started),
         }
     }
 
@@ -890,16 +836,7 @@ impl WebComMaster {
         }
         self.stats.lock().forward_received += 1;
         let targets = self.authorise(&[Some(&request.action)]).remove(0);
-        let outcome = if targets.is_empty() {
-            self.stats.lock().unschedulable += 1;
-            ExecOutcome::Denied(format!(
-                "no authorised client for {} in {}",
-                request.action.component.identifier(),
-                request.action.domain
-            ))
-        } else {
-            self.dispatch_to(&request, targets, Instant::now())
-        };
+        let outcome = self.dispatch_to(&request, targets, Instant::now());
         ScheduleReply {
             op_id,
             client: shard_name,
@@ -975,13 +912,12 @@ impl WebComMaster {
         }
     }
 
-    /// Dispatches one already-authorised operation: health-ordered
-    /// target selection, request construction, and the retry/failover
-    /// loop.
-    fn schedule_on(
+    /// Health-sorts the targets, then runs the dispatch loop under the
+    /// in-flight gauge, recording the whole-dispatch latency since
+    /// `started`. With no authorised target the op is unschedulable.
+    fn dispatch_to(
         &self,
-        op_id: u64,
-        op: BurstOp,
+        request: &ScheduleRequest,
         targets: Vec<Target>,
         started: Instant,
     ) -> ExecOutcome {
@@ -989,23 +925,10 @@ impl WebComMaster {
             self.stats.lock().unschedulable += 1;
             return ExecOutcome::Denied(format!(
                 "no authorised client for {} in {}",
-                op.action.component.identifier(),
-                op.action.domain
+                request.action.component.identifier(),
+                request.action.domain
             ));
         }
-        let request = self.build_request(op_id, op);
-        self.dispatch_to(&request, targets, started)
-    }
-
-    /// Health-sorts the targets, then runs the dispatch loop under the
-    /// in-flight gauge, recording the whole-dispatch latency since
-    /// `started`.
-    fn dispatch_to(
-        &self,
-        request: &ScheduleRequest,
-        targets: Vec<Target>,
-        started: Instant,
-    ) -> ExecOutcome {
         let targets = health_ordered(targets);
         let _gauge = GaugeGuard::new(&self.in_flight);
         let outcome = self.dispatch(request, &targets, started);
@@ -1231,7 +1154,7 @@ impl WebComMaster {
 /// The master as a condensed-graph executor: every `Primitive` node is
 /// scheduled to an authorised client, so evaluating a graph *is*
 /// distributing the application (Figure 3). A wave's primitives go out
-/// together through [`WebComMaster::schedule_wave`].
+/// together as one burst ([`WebComMaster::schedule_burst`]).
 impl OpExecutor for WebComMaster {
     fn execute(&self, op: &str, args: &[Value]) -> Result<Value, EngineError> {
         self.execute_wave(&[(op, args.to_vec())])
@@ -1253,7 +1176,7 @@ impl OpExecutor for WebComMaster {
                 Err(unbound) => Some(unbound),
             })
             .collect();
-        let mut scheduled = self.schedule_wave(ops).into_iter();
+        let mut scheduled = self.schedule_burst(ops).into_iter();
         calls
             .iter()
             .zip(unbound)
@@ -1888,7 +1811,7 @@ mod dispatch_tests {
         // through to the per-op loop. Were each op's deadline to restart
         // there, the wave would run ~100 + 4 × 250 ms.
         let started = Instant::now();
-        let outcomes = master.schedule_wave((0..4).map(burst_op).collect());
+        let outcomes = master.schedule_burst((0..4).map(burst_op).collect());
         let elapsed = started.elapsed();
         assert!(
             elapsed < deadline + Duration::from_millis(100),
@@ -1902,6 +1825,85 @@ mod dispatch_tests {
         }
         let stats = master.stats();
         assert_eq!(stats.deadline_exceeded, 4, "stats: {stats:?}");
+        assert_eq!(stats.in_flight, 0);
+    }
+
+    /// A peer link that sleeps out its timeout, then reports `Timeout`.
+    struct HungPeer;
+
+    impl crate::fabric::PeerLink for HungPeer {
+        fn forward(
+            &self,
+            _request: &ScheduleRequest,
+            _hops: u8,
+            timeout: Duration,
+        ) -> Result<ScheduleReply, TransportError> {
+            std::thread::sleep(timeout);
+            Err(TransportError::Timeout(timeout))
+        }
+
+        fn describe(&self) -> String {
+            "hung peer".to_string()
+        }
+    }
+
+    #[test]
+    fn forwards_to_a_hung_home_stay_inside_the_deadline_from_the_burst_start() {
+        use crate::fabric::{PeerLink, ShardRing};
+        let deadline = Duration::from_millis(250);
+        let master = master_of(
+            vec![(
+                "c1".to_string(),
+                "Kc1".to_string(),
+                Arc::new(BatchRecorder::default()) as Arc<dyn ClientTransport>,
+            )],
+            fast_retry(),
+            |m| m.with_schedule_deadline(deadline),
+        );
+        let ring = Arc::new(ShardRing::new(2));
+        let hung: Arc<dyn PeerLink> = Arc::new(HungPeer);
+        master.set_shard(Arc::new(ShardInfo {
+            ring: Arc::clone(&ring),
+            shard_id: 0,
+            peers: HashMap::from([(1, hung)]),
+        }));
+        let owned_by = |shard| {
+            (0..)
+                .map(|i| format!("Kp{i}"))
+                .find(|p| ring.owner_of(p) == shard)
+                .expect("every shard owns a principal")
+        };
+        // Two local ops and three for the hung home, interleaved. Were
+        // each forward's deadline to restart, the burst would run
+        // ~3 × 250 ms.
+        let homes = [0, 1, 0, 1, 1];
+        let ops = homes
+            .iter()
+            .enumerate()
+            .map(|(i, &home)| BurstOp {
+                principal: owned_by(home),
+                ..burst_op(i as i64)
+            })
+            .collect();
+        let started = Instant::now();
+        let outcomes = master.schedule_burst(ops);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < deadline + Duration::from_millis(100),
+            "burst ran {elapsed:?}, deadline was {deadline:?}"
+        );
+        for (i, (out, home)) in outcomes.iter().zip(homes).enumerate() {
+            if home == 0 {
+                assert_eq!(*out, ExecOutcome::Ok(Value::Int(i as i64)), "local op {i}");
+            } else {
+                assert!(
+                    matches!(out, ExecOutcome::Failed(e) if e.kind == ExecErrorKind::Timeout),
+                    "forwarded op {i}: {out:?}"
+                );
+            }
+        }
+        let stats = master.stats();
+        assert_eq!(stats.scheduled, 2, "stats: {stats:?}");
         assert_eq!(stats.in_flight, 0);
     }
 
@@ -1947,12 +1949,12 @@ mod dispatch_tests {
             fast_retry(),
             |m| m,
         );
-        let outcomes = master.schedule_wave((0..5).map(burst_op).collect());
+        let outcomes = master.schedule_burst((0..5).map(burst_op).collect());
         let expected: Vec<ExecOutcome> = (0..5).map(|i| ExecOutcome::Ok(Value::Int(i))).collect();
         assert_eq!(outcomes, expected);
         // A wave of one takes `call`, as `schedule_burst` does.
         assert_eq!(
-            master.schedule_wave(vec![burst_op(9)]),
+            master.schedule_burst(vec![burst_op(9)]),
             vec![ExecOutcome::Ok(Value::Int(9))]
         );
         assert_eq!(*recorder.batches.lock(), vec![5]);

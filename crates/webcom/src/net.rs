@@ -26,13 +26,14 @@
 //! `ReplyBatch` frame, so a batch of fast ops costs one thread, one
 //! reply frame and no hand-off. While the backlog holds ops or unwritten
 //! replies, the leader's read times out every [`HELP_AFTER`]; once an op
-//! has run that long — it is slow — the leader helps: it takes ops from
-//! the backlog (adding a thread under the growth rule, since the read
-//! role is then free) and writes the replies waiting there. A thread
-//! that takes the read role while the backlog is stalled helps at once,
-//! so slow ops spread over new threads without a timeout per thread. So slow ops still overlap up to `pipeline`, and a slow
-//! op delays its batch-mates' replies by about `HELP_AFTER`, not by its
-//! own run time.
+//! has run, or waited to start, that long — the ops are slow — the
+//! leader helps: it takes ops from the backlog (adding a thread under
+//! the growth rule, since the read role is then free) and writes the
+//! replies waiting there. A thread that takes the read role while the
+//! backlog is stalled helps at once, so slow ops spread over new threads
+//! without a timeout per thread. So slow ops still overlap up to
+//! `pipeline`, and a slow op delays its batch-mates' replies by about
+//! `HELP_AFTER`, not by its own run time.
 //!
 //! Malformed, oversized or truncated frames close the connection — they
 //! never panic the server — and a closed connection leaves the tracked
@@ -58,11 +59,13 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
-/// How long a batch op may run before it counts as *slow*, and the
-/// connection's leader, while batch work waits, helps with it. Far
-/// above a fast op's run time, so a batch of fast ops finishes on the
-/// thread that read it; and about the most a slow op delays the replies
-/// of its batch-mates, or their start while a thread is free.
+/// How long a batch op may run, or wait to start, before it counts as
+/// *slow*, and the connection's leader, while batch work waits, helps
+/// with it. Far above a fast op's run time, so a batch of fast ops
+/// finishes on the thread that read it; and about the most a slow op
+/// delays the replies of its batch-mates, or their start while a thread
+/// is free, give or take the kernel's rounding of the leader's read
+/// timeout.
 pub const HELP_AFTER: Duration = Duration::from_millis(1);
 
 /// How a listener answers its connections' frames.
@@ -259,8 +262,9 @@ struct Turn {
 /// Work published by batch frames.
 #[derive(Default)]
 struct Backlog {
-    /// Batches with ops not yet started, each with its next op.
-    ops: VecDeque<(Arc<ServedBatch>, usize)>,
+    /// Batches with ops not yet started, each with its next op and
+    /// when it was published.
+    ops: VecDeque<(Arc<ServedBatch>, usize, Instant)>,
     /// Replies of finished ops not yet written.
     done: Vec<ScheduleReply>,
     /// When each op now running started.
@@ -274,7 +278,7 @@ type Taken = (Arc<ServedBatch>, usize, Instant);
 impl Backlog {
     /// Takes the next op not yet started.
     fn next_op(&mut self) -> Option<Taken> {
-        let (batch, next) = self.ops.front_mut()?;
+        let (batch, next, _) = self.ops.front_mut()?;
         let started = Instant::now();
         let op = (Arc::clone(batch), *next, started);
         *next += 1;
@@ -298,10 +302,18 @@ impl Backlog {
         !self.ops.is_empty() || !self.done.is_empty()
     }
 
-    /// True when work waits while an op has run for [`HELP_AFTER`]: it
-    /// is slow, and holds up what waits behind it.
+    /// True when work waits while an op has run, or the oldest op not
+    /// yet started has waited, for [`HELP_AFTER`]: the ops are slow, and
+    /// hold up what waits behind them. Waiting counts as well as running
+    /// because a leader looks only when its read times out, which the
+    /// kernel rounds up to whole scheduler ticks (a 1 ms timeout fired
+    /// after 4–9 ms on a 2-vCPU host): by then an op of a few
+    /// milliseconds may have just started, behind others that ran one
+    /// after another.
     fn stalled(&self) -> bool {
-        self.waiting() && self.running.iter().any(|t| t.elapsed() >= HELP_AFTER)
+        let slow = |t: &Instant| t.elapsed() >= HELP_AFTER;
+        self.waiting()
+            && (self.running.iter().any(slow) || self.ops.front().is_some_and(|(.., t)| slow(t)))
     }
 }
 
@@ -383,7 +395,7 @@ impl<'a, H: Handler> Connection<'a, H> {
                 Ok(WireRequest::ScheduleBatch(batch)) => match self.handler.split(batch) {
                     Ok(batch) => {
                         if batch.len() > 0 {
-                            self.backlog.lock().ops.push_back((batch, 0));
+                            self.backlog.lock().ops.push_back((batch, 0, Instant::now()));
                         }
                         return Some(Work::Backlog);
                     }

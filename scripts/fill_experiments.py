@@ -1,6 +1,15 @@
 #!/usr/bin/env python3
-"""Fills EXPERIMENTS.md placeholders with measured times parsed from
-bench_output.txt (criterion text output)."""
+"""Fills or refreshes EXPERIMENTS.md tables with measured times parsed
+from bench_output.txt (the benches' text output).
+
+Each table sits between paired markers, `<!--FIG1-->` ... `<!--/FIG1-->`;
+the text between them is rewritten on every run, so a filled table can
+be refreshed and two runs on the same bench output give the same file.
+
+Usage, from the repository root:
+    cargo bench -q > bench_output.txt
+    scripts/fill_experiments.py
+"""
 import re
 import sys
 
@@ -25,12 +34,21 @@ MARKERS = {
 
 
 def parse(path):
-    """Returns {group: [(bench_id, mid_time, thrpt or None)]}."""
+    """Returns {group: [(bench_id, mid_time, thrpt or None)]}.
+
+    Reads two layouts: criterion's (`group/bench` on its own line, then
+    `time: [lo mid hi]` and `thrpt: [lo mid hi]` lines) and the vendored
+    stand-in's one line per bench (`group/bench  time: 7.60 µs
+    thrpt: 3684000 elem/s`)."""
     out = {}
     lines = open(path).read().splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i]
+    for i, line in enumerate(lines):
+        one = re.match(
+            r"^([a-z0-9_]+)/(\S+)\s+time:\s+(\S+ \S+)(?:\s+thrpt:\s+(\S+ \S+))?\s*$", line
+        )
+        if one:
+            out.setdefault(one.group(1), []).append(one.groups()[1:])
+            continue
         m = re.match(r"^([a-z0-9_]+)/(\S+)\s*$", line)
         if m and i + 1 < len(lines) and "time:" in lines[i + 1]:
             group, bench = m.group(1), m.group(2)
@@ -45,7 +63,6 @@ def parse(path):
                 )
                 thr = tt.group(1) if tt else None
             out.setdefault(group, []).append((bench, mid, thr))
-        i += 1
     return out
 
 
@@ -65,20 +82,21 @@ def table(rows):
 def main():
     groups = parse(BENCH_OUT)
     text = open(EXPERIMENTS).read()
-    missing = []
+    filled, missing = [], []
     for marker, group in MARKERS.items():
-        placeholder = f"<!--{marker}-->"
-        if placeholder not in text:
+        pair = re.compile(rf"(<!--{marker}-->\n).*?(<!--/{marker}-->)", re.S)
+        if not pair.search(text):
             continue
         rows = groups.get(group)
         if not rows:
             missing.append(group)
             continue
-        text = text.replace(placeholder, table(rows))
+        text = pair.sub(lambda m: m.group(1) + table(rows) + m.group(2), text)
+        filled.append(group)
     open(EXPERIMENTS, "w").write(text)
     if missing:
         print(f"WARNING: no data for {missing}", file=sys.stderr)
-    print(f"filled {len(MARKERS) - len(missing)}/{len(MARKERS)} experiment tables")
+    print(f"refreshed {len(filled)}/{len(filled) + len(missing)} experiment tables")
 
 
 if __name__ == "__main__":

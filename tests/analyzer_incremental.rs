@@ -14,6 +14,7 @@ use hetsec_keynote::ast::Assertion;
 use hetsec_keynote::parser::parse_assertions;
 use hetsec_rbac::fixtures::salaries_policy;
 use hetsec_rbac::RbacPolicy;
+use hetsec_suite::Rng;
 use hetsec_translate::{encode_policy, SymbolicDirectory};
 use std::path::PathBuf;
 
@@ -38,24 +39,6 @@ fn defect_options() -> AnalysisOptions {
     opts.known_attributes
         .extend(hetsec_webcom::ADAPTER_ATTRIBUTES.iter().map(|s| s.to_string()));
     opts
-}
-
-// ---- deterministic splitmix64 harness (same as tests/properties.rs) ----
-
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
 }
 
 /// A pool of credential-shaped assertions to draw random edits from:
@@ -99,7 +82,7 @@ fn random_edit_sequences_match_cold_analysis_exactly() {
     let dir = SymbolicDirectory::default();
     let pool = assertion_pool();
     for seed in 0..6u64 {
-        let mut rng = Rng(0x5eed_1ac0 ^ seed);
+        let mut rng = Rng::new(0x5eed_1ac0 ^ seed);
         // Start from the encoded salaries policy -- a store every pass
         // has opinions about once we mutate it.
         let policy = salaries_policy();

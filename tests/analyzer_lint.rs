@@ -14,6 +14,7 @@ use hetsec_keynote::Query;
 use hetsec_rbac::fixtures::{salaries_policy, synthetic_policy};
 use hetsec_rbac::RbacPolicy;
 use hetsec_translate::{decode_policy, encode_policy, SymbolicDirectory, APP_DOMAIN};
+use hetsec_suite::Rng;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -158,23 +159,7 @@ fn escalation_findings_are_deterministic_across_runs() {
     }
 }
 
-// ---- random delegation DAGs (deterministic splitmix64 harness) ----
-
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
+// ---- random delegation DAGs (seeded `hetsec_suite::Rng`) ----
 
 fn key(i: usize) -> String {
     format!("Knode{i}")
@@ -220,7 +205,7 @@ fn leaf_is_authorized(text: &str, leaf: usize) -> bool {
 
 #[test]
 fn cycle_free_random_chains_are_accepted_by_the_fixpoint() {
-    let mut rng = Rng(0x5eed_0001);
+    let mut rng = Rng::new(0x5eed_0001);
     for case in 0..40 {
         let nodes = 2 + rng.below(10);
         let (text, _) = random_dag(&mut rng, nodes);
@@ -244,7 +229,7 @@ fn cycle_free_random_chains_are_accepted_by_the_fixpoint() {
 
 #[test]
 fn seeded_back_edges_are_reported_as_cycles() {
-    let mut rng = Rng(0x5eed_0002);
+    let mut rng = Rng::new(0x5eed_0002);
     for case in 0..40 {
         let nodes = 3 + rng.below(8);
         let (mut text, parents) = random_dag(&mut rng, nodes);

@@ -13,27 +13,8 @@
 use hetsec_keynote::ast::Assertion;
 use hetsec_keynote::parser::parse_assertions;
 use hetsec_keynote::ActionAttributes;
+use hetsec_suite::Rng;
 use hetsec_webcom::{AuthzRequest, TrustManager};
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 const PRINCIPALS: [&str; 6] = ["Ka", "Kb", "Kc", "Kd", "Ke", "Kf"];
 const OPS: [&str; 4] = ["read", "write", "grant", "delete"];

@@ -15,49 +15,30 @@ use hetsec_keynote::session::{ActionQuery, KeyNoteSession};
 use hetsec_keynote::signing::sign_assertion;
 use hetsec_keynote::ActionAttributes;
 use hetsec_crypto::KeyPair;
+use hetsec_suite::Rng;
 
-// ---- Deterministic generator harness (see tests/properties.rs) ----
+// ---- Deterministic generator helpers over `hetsec_suite::Rng` ----
 
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed)
+/// A uniformly random `U512` with up to `bits` significant bits.
+fn next_u512(rng: &mut Rng, bits: u32) -> U512 {
+    let mut limbs = [0u64; 8];
+    for limb in &mut limbs {
+        *limb = rng.next_u64();
     }
+    U512::from_limbs(limbs).shr_small(512 - bits)
+}
 
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+/// A random odd modulus with exactly `bits` significant bits
+/// (top bit forced so the width is predictable).
+fn next_odd_modulus(rng: &mut Rng, bits: u32) -> U512 {
+    let mut m = next_u512(rng, bits);
+    let mut limbs = m.limbs();
+    limbs[0] |= 1;
+    m = U512::from_limbs(limbs);
+    if !m.bit(bits - 1) {
+        m = m.add(&U512::ONE.shl_small(bits - 1));
     }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// A uniformly random `U512` with up to `bits` significant bits.
-    fn next_u512(&mut self, bits: u32) -> U512 {
-        let mut limbs = [0u64; 8];
-        for limb in &mut limbs {
-            *limb = self.next_u64();
-        }
-        U512::from_limbs(limbs).shr_small(512 - bits)
-    }
-
-    /// A random odd modulus with exactly `bits` significant bits
-    /// (top bit forced so the width is predictable).
-    fn next_odd_modulus(&mut self, bits: u32) -> U512 {
-        let mut m = self.next_u512(bits);
-        let mut limbs = m.limbs();
-        limbs[0] |= 1;
-        m = U512::from_limbs(limbs);
-        if !m.bit(bits - 1) {
-            m = m.add(&U512::ONE.shl_small(bits - 1));
-        }
-        m
-    }
+    m
 }
 
 // ---- Montgomery vs schoolbook ----
@@ -70,13 +51,13 @@ fn montgomery_mulmod_matches_schoolbook_on_random_operands() {
         // including full 512-bit moduli where the schoolbook divider
         // exercises its high-bit overflow path.
         let bits = [64, 128, 256, 384, 500, 512][case % 6] as u32;
-        let m = rng.next_odd_modulus(bits);
+        let m = next_odd_modulus(&mut rng, bits);
         if m == U512::ONE {
             continue;
         }
         let ctx = Montgomery::new(&m).expect("odd modulus");
-        let a = rng.next_u512(512).rem(&m);
-        let b = rng.next_u512(512).rem(&m);
+        let a = next_u512(&mut rng, 512).rem(&m);
+        let b = next_u512(&mut rng, 512).rem(&m);
         let fast = ctx.from_mont(&ctx.mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
         let slow = a.mulmod(&b, &m);
         assert_eq!(fast, slow, "case {case}: mulmod diverged for bits={bits}");
@@ -88,14 +69,14 @@ fn montgomery_modpow_matches_schoolbook_on_random_operands() {
     let mut rng = Rng::new(0x4d6f_6e74_676f_6d02);
     for case in 0..60 {
         let bits = [64, 192, 256, 512][case % 4] as u32;
-        let m = rng.next_odd_modulus(bits);
+        let m = next_odd_modulus(&mut rng, bits);
         if m == U512::ONE {
             continue;
         }
-        let base = rng.next_u512(512);
+        let base = next_u512(&mut rng, 512);
         // Exponent width varies from tiny to full so every window
         // pattern of the fixed-window ladder is exercised.
-        let exp = rng.next_u512([1, 17, 64, 250, 512][case % 5] as u32);
+        let exp = next_u512(&mut rng, [1, 17, 64, 250, 512][case % 5] as u32);
         let fast = base.modpow(&exp, &m);
         let slow = base.modpow_schoolbook(&exp, &m);
         assert_eq!(fast, slow, "case {case}: modpow diverged for bits={bits}");
@@ -105,8 +86,8 @@ fn montgomery_modpow_matches_schoolbook_on_random_operands() {
 #[test]
 fn montgomery_edge_exponents_match_schoolbook() {
     let mut rng = Rng::new(0x4d6f_6e74_676f_6d03);
-    let m = rng.next_odd_modulus(256);
-    let base = rng.next_u512(512);
+    let m = next_odd_modulus(&mut rng, 256);
+    let base = next_u512(&mut rng, 512);
     for exp in [
         U512::ZERO,
         U512::ONE,

@@ -12,44 +12,23 @@ use hetsec_keynote::print::{print_expr, print_licensees};
 use hetsec_keynote::regex::Regex;
 use hetsec_keynote::session::ActionQuery;
 use hetsec_rbac::policy::{PermissionGrant, RbacPolicy, RoleAssignment};
+use hetsec_suite::Rng;
 use hetsec_translate::{decode_policy, encode_policy, SymbolicDirectory};
 
-// ---- Deterministic generator harness ----
+// ---- Deterministic generator helpers over `hetsec_suite::Rng` ----
 
-struct Rng(u64);
+fn next_u128(rng: &mut Rng) -> u128 {
+    (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
+}
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
+/// Uniform value in `lo..hi` (half-open, hi > lo).
+fn range(rng: &mut Rng, lo: usize, hi: usize) -> usize {
+    lo + rng.below(hi - lo)
+}
 
-    /// splitmix64 — enough statistical quality for test-case generation.
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_u128(&mut self) -> u128 {
-        (u128::from(self.next_u64()) << 64) | u128::from(self.next_u64())
-    }
-
-    /// Uniform value in `0..n` (n > 0).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Uniform value in `lo..hi` (half-open, hi > lo).
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + self.below(hi - lo)
-    }
-
-    /// A string of `len` characters drawn from `alphabet`.
-    fn pick_string(&mut self, alphabet: &[char], len: usize) -> String {
-        (0..len).map(|_| alphabet[self.below(alphabet.len())]).collect()
-    }
+/// A string of `len` characters drawn from `alphabet`.
+fn pick_string(rng: &mut Rng, alphabet: &[char], len: usize) -> String {
+    (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect()
 }
 
 fn chars(ranges: &[(char, char)]) -> Vec<char> {
@@ -65,9 +44,9 @@ fn chars(ranges: &[(char, char)]) -> Vec<char> {
 fn gen_ident(rng: &mut Rng) -> String {
     let first = chars(&[('a', 'z'), ('_', '_')]);
     let rest = chars(&[('a', 'z'), ('0', '9'), ('_', '_')]);
-    let mut s = rng.pick_string(&first, 1);
+    let mut s = pick_string(rng, &first, 1);
     let n = rng.below(7);
-    s.push_str(&rng.pick_string(&rest, n));
+    s.push_str(&pick_string(rng, &rest, n));
     s
 }
 
@@ -75,9 +54,9 @@ fn gen_ident(rng: &mut Rng) -> String {
 fn gen_principal(rng: &mut Rng) -> String {
     let first = chars(&[('A', 'Z'), ('a', 'z')]);
     let rest = chars(&[('A', 'Z'), ('a', 'z'), ('0', '9')]);
-    let mut s = rng.pick_string(&first, 1);
+    let mut s = pick_string(rng, &first, 1);
     let n = rng.below(9);
-    s.push_str(&rng.pick_string(&rest, n));
+    s.push_str(&pick_string(rng, &rest, n));
     s
 }
 
@@ -85,17 +64,17 @@ fn gen_principal(rng: &mut Rng) -> String {
 fn gen_cap_name(rng: &mut Rng) -> String {
     let first = chars(&[('A', 'Z')]);
     let rest = chars(&[('a', 'z')]);
-    let mut s = rng.pick_string(&first, 1);
-    let n = rng.range(1, 6);
-    s.push_str(&rng.pick_string(&rest, n));
+    let mut s = pick_string(rng, &first, 1);
+    let n = range(rng, 1, 6);
+    s.push_str(&pick_string(rng, &rest, n));
     s
 }
 
 /// `[a-z]{lo,hi}` — a lowercase word.
 fn gen_word(rng: &mut Rng, lo: usize, hi: usize) -> String {
     let alpha = chars(&[('a', 'z')]);
-    let n = rng.range(lo, hi + 1);
-    rng.pick_string(&alpha, n)
+    let n = range(rng, lo, hi + 1);
+    pick_string(rng, &alpha, n)
 }
 
 // ---- U512 arithmetic vs u128 reference ----
@@ -132,7 +111,7 @@ fn u512_mul_matches_u128() {
 fn u512_divmod_matches_u128() {
     let mut rng = Rng::new(0x5d17);
     for case in 0..256 {
-        let a = rng.next_u128();
+        let a = next_u128(&mut rng);
         let b = rng.next_u64().max(1);
         let (q, r) = U512::from_u128(a).divmod(&U512::from_u64(b));
         assert_eq!(q, U512::from_u128(a / b as u128), "case {case}: {a} / {b}");
@@ -144,7 +123,7 @@ fn u512_divmod_matches_u128() {
 fn u512_hex_roundtrip() {
     let mut rng = Rng::new(0x4e7);
     for case in 0..256 {
-        let v = U512::from_u128(rng.next_u128());
+        let v = U512::from_u128(next_u128(&mut rng));
         assert_eq!(U512::from_hex(&v.to_hex()), Some(v), "case {case}");
     }
 }
@@ -153,7 +132,7 @@ fn u512_hex_roundtrip() {
 fn u512_shift_roundtrip() {
     let mut rng = Rng::new(0x54f7);
     for case in 0..256 {
-        let v = U512::from_u128(rng.next_u128());
+        let v = U512::from_u128(next_u128(&mut rng));
         let s = rng.below(256) as u32;
         assert_eq!(v.shl_small(s).shr_small(s), v, "case {case}: shift {s}");
     }
@@ -181,7 +160,7 @@ fn gen_term(rng: &mut Rng, depth: usize) -> Term {
         0 => Term::Attr(gen_ident(rng)),
         1 => {
             let n = rng.below(9);
-            Term::Str(rng.pick_string(&printable, n))
+            Term::Str(pick_string(rng, &printable, n))
         }
         2 => Term::Num(rng.below(100_000) as f64),
         3 => Term::Concat(
@@ -230,10 +209,10 @@ fn gen_licensees(rng: &mut Rng, depth: usize) -> LicenseeExpr {
             Box::new(gen_licensees(rng, depth - 1)),
         ),
         _ => {
-            let n = rng.range(1, 4);
+            let n = range(rng, 1, 4);
             let items: Vec<LicenseeExpr> =
                 (0..n).map(|_| gen_licensees(rng, depth - 1)).collect();
-            let k = rng.range(1, n + 1);
+            let k = range(rng, 1, n + 1);
             LicenseeExpr::KOf(k, items)
         }
     }
@@ -306,7 +285,7 @@ fn regex_star_never_panics() {
         .collect();
     for _case in 0..128 {
         let n = rng.below(11);
-        let pat = rng.pick_string(&pat_alpha, n);
+        let pat = pick_string(&mut rng, &pat_alpha, n);
         let hay = gen_word(&mut rng, 0, 10);
         if let Ok(re) = Regex::new(&pat) {
             let _ = re.is_match(&hay);
@@ -435,13 +414,13 @@ fn flattening_a_hierarchy_preserves_decisions() {
         // always well-formed.
         let roles = ["R0", "R1", "R2", "R3", "R4"];
         let mut policy = RbacPolicy::new();
-        for _ in 0..rng.range(1, 10) {
+        for _ in 0..range(&mut rng, 1, 10) {
             let r = rng.below(5);
             let t = rng.below(3);
             let p = gen_word(&mut rng, 1, 4);
             policy.grant(PermissionGrant::new("D", roles[r], format!("T{t}"), p.as_str()));
         }
-        for _ in 0..rng.range(1, 8) {
+        for _ in 0..range(&mut rng, 1, 8) {
             let u = gen_word(&mut rng, 1, 5);
             let r = rng.below(5);
             policy.assign(RoleAssignment::new(u.as_str(), "D", roles[r]));

@@ -6,6 +6,7 @@ use hetsec_graphs::Value;
 use hetsec_middleware::component::ComponentRef;
 use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_rbac::User;
+use hetsec_suite::Rng;
 use hetsec_webcom::wire::{read_frame, write_frame};
 use hetsec_webcom::{
     principal_key, serve_master, serve_tcp_with, synthetic_stack, ArithComponentExecutor, BurstOp,
@@ -74,7 +75,6 @@ impl ComponentExecutor for VariableSleepExecutor {
 /// reached over the mux transport.
 fn mux_fabric(
     window: usize,
-    parallelism: usize,
     executor: Arc<dyn ComponentExecutor>,
 ) -> (Arc<WebComMaster>, TcpClientServer) {
     let stack = synthetic_stack(4);
@@ -93,8 +93,7 @@ fn mux_fabric(
     )
     .expect("serve mux test client");
     let master = WebComMaster::new("Km".to_string(), trust(&["Kc1"]))
-        .with_op_timeout(Duration::from_secs(10))
-        .with_burst_parallelism(parallelism);
+        .with_op_timeout(Duration::from_secs(10));
     let transport: Arc<dyn ClientTransport> =
         Arc::new(MuxTransport::new(server.local_addr()).with_window(window));
     master.register_transport("c1", "Kc1", transport, vec!["Dom".into()]);
@@ -106,7 +105,6 @@ fn mux_correlates_out_of_order_replies() {
     let completions = Arc::new(Mutex::new(Vec::new()));
     let (master, server) = mux_fabric(
         8,
-        2,
         Arc::new(VariableSleepExecutor {
             completions: Arc::clone(&completions),
         }),
@@ -138,7 +136,6 @@ fn mux_correlates_out_of_order_replies() {
 fn interleaved_bursts_from_two_callers_stay_correlated() {
     let completions = Arc::new(Mutex::new(Vec::new()));
     let (master, server) = mux_fabric(
-        4,
         4,
         Arc::new(VariableSleepExecutor {
             completions: Arc::clone(&completions),
@@ -323,16 +320,9 @@ fn tagging_fabric(shards: usize) -> (ShardRouter, ShardLog, Vec<hetsec_webcom::C
 /// land each op on its home shard exactly once via peer forwarding.
 #[test]
 fn every_op_lands_on_its_home_shard_exactly_once() {
-    let mut state = 0x5EED_FAB5u64;
-    let mut rand = move |n: usize| {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % n as u64) as usize
-    };
+    let mut rng = Rng::new(0x5EED_FAB5);
     for case in 0..8 {
-        let ranks: Vec<usize> = (0..1 + rand(23)).map(|_| rand(50)).collect();
+        let ranks: Vec<usize> = (0..1 + rng.below(23)).map(|_| rng.below(50)).collect();
         let (router, log, handles) = tagging_fabric(3);
         let ops: Vec<BurstOp> = ranks
             .iter()
@@ -464,7 +454,6 @@ fn mux_keeps_the_window_full_under_load() {
         }
     }
     let (master, server) = mux_fabric(
-        8,
         8,
         Arc::new(Counting {
             served: Arc::clone(&served),

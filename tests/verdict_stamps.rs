@@ -12,6 +12,7 @@ use hetsec_keynote::{
 };
 use hetsec_middleware::component::ComponentRef;
 use hetsec_middleware::naming::MiddlewareKind;
+use hetsec_suite::Rng;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     ArithComponentExecutor, AuthzRequest, AuthzStack, ClientConfig, ClientEngine, ExecOutcome,
@@ -19,22 +20,10 @@ use hetsec_webcom::{
 };
 use std::sync::Arc;
 
-/// splitmix64 — the same deterministic test-harness generator the
-/// property suite uses.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
+/// A value in `0..n`, drawn as a `u64` from the shared splitmix64
+/// generator.
+fn below(rng: &mut Rng, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
 fn delegation(delegator: &KeyPair, licensee: &str) -> Assertion {
@@ -88,34 +77,34 @@ fn flip_hex(s: &mut String, idx: usize) {
 
 #[test]
 fn tampering_any_stamp_field_defeats_admission() {
-    let mut rng = Rng(0xD1CE_5EED_0BAD_CAFE);
+    let mut rng = Rng::new(0xD1CE_5EED_0BAD_CAFE);
     let issuer_a = KeyPair::from_label("vs-prop-issuer-a");
     let issuer_b = KeyPair::from_label("vs-prop-issuer-b");
     for case in 0..48u64 {
         let delegator = KeyPair::from_label(&format!("vs-prop-delegator-{case}"));
-        let cred = delegation(&delegator, &format!("Kuser{}", rng.below(1000)));
+        let cred = delegation(&delegator, &format!("Kuser{}", below(&mut rng, 1000)));
         let fp = credential_fingerprint(&cred).expect("signed credential has a fingerprint");
         let stamp = VerdictStamp::issue(
             &issuer_a,
             fp,
             &SignatureStatus::Valid,
-            rng.below(1 << 40),
-            rng.below(1 << 40),
+            below(&mut rng, 1 << 40),
+            below(&mut rng, 1 << 40),
         );
         let mut forged = stamp.clone();
-        let field = rng.below(6);
+        let field = below(&mut rng, 6);
         match field {
             0 => {
-                let idx = rng.below(forged.fingerprint.len() as u64) as usize;
+                let idx = below(&mut rng, forged.fingerprint.len() as u64) as usize;
                 flip_hex(&mut forged.fingerprint, idx);
             }
-            1 => forged.status = ((forged.status as u64 + 1 + rng.below(3)) % 4) as u8,
-            2 => forged.epoch ^= 1 + rng.below(u32::MAX as u64),
-            3 => forged.issued_at ^= 1 + rng.below(u32::MAX as u64),
+            1 => forged.status = ((forged.status as u64 + 1 + below(&mut rng, 3)) % 4) as u8,
+            2 => forged.epoch ^= 1 + below(&mut rng, u32::MAX as u64),
+            3 => forged.issued_at ^= 1 + below(&mut rng, u32::MAX as u64),
             // A fleet key that did not sign this stamp.
             4 => forged.issuer = issuer_b.public().to_text(),
             _ => {
-                let idx = rng.below(forged.signature.len() as u64 - 1) as usize + 1;
+                let idx = below(&mut rng, forged.signature.len() as u64 - 1) as usize + 1;
                 flip_hex(&mut forged.signature, idx);
             }
         }

@@ -19,6 +19,7 @@ use hetsec_graphs::Value;
 use hetsec_middleware::component::ComponentRef;
 use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_rbac::User;
+use hetsec_suite::Rng;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     decode_frame, encode_frame, encode_schedule_batch, read_frame, serve_tcp_with, write_frame,
@@ -32,25 +33,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// splitmix64, as in the other seeded suites.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
-        options[self.below(options.len())]
-    }
+fn pick<'a>(rng: &mut Rng, options: &[&'a str]) -> &'a str {
+    options[rng.below(options.len())]
 }
 
 fn tm(policy: &str) -> Arc<TrustManager> {
@@ -130,10 +114,10 @@ fn random_batch(rng: &mut Rng) -> ScheduleBatch {
         })
         .collect();
     ScheduleBatch {
-        action: action(rng.pick(&["add", "add", "flaky", "no-such-op"])),
+        action: action(pick(rng, &["add", "add", "flaky", "no-such-op"])),
         user: "worker".into(),
-        principal: rng.pick(&["Kworker", "Kworker", "Kunlicensed"]).to_string(),
-        master_key: rng.pick(&["Kmaster", "Kmaster", "Kmaster", "Kdistrusted"]).to_string(),
+        principal: pick(rng, &["Kworker", "Kworker", "Kunlicensed"]).to_string(),
+        master_key: pick(rng, &["Kmaster", "Kmaster", "Kmaster", "Kdistrusted"]).to_string(),
         credentials: vec![],
         stamps: vec![],
         ops,
@@ -143,7 +127,7 @@ fn random_batch(rng: &mut Rng) -> ScheduleBatch {
 #[test]
 fn handle_batch_equals_per_op_handle_on_a_twin_engine() {
     for seed in 0..64u64 {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let batch_log = Arc::new(AuditLog::new(64));
         let single_log = Arc::new(AuditLog::new(64));
         let batched = ClientEngine::new(config("c1", Arc::new(FlakyExecutor)))
@@ -240,7 +224,7 @@ fn batch_frames_match_their_golden_bytes() {
     assert_eq!(decode_frame::<WireResponse>(&golden_reply).unwrap(), response);
 
     // Hostile variants decode to a value or a WireError, never a panic.
-    let mut rng = Rng(21);
+    let mut rng = Rng::new(21);
     for golden in [&golden, &golden_reply] {
         for cut in 0..golden.len() {
             assert!(matches!(

@@ -129,7 +129,7 @@ fn a_32_wide_zero_service_wave_is_one_frame_each_way() {
         args: vec![Value::Int(i), Value::Int(1)],
     };
 
-    let outcomes = master.schedule_wave((0..32).map(op).collect());
+    let outcomes = master.schedule_burst((0..32).map(op).collect());
     for (i, outcome) in outcomes.into_iter().enumerate() {
         assert_eq!(outcome, ExecOutcome::Ok(Value::Int(i as i64 + 1)));
     }
@@ -140,7 +140,7 @@ fn a_32_wide_zero_service_wave_is_one_frame_each_way() {
     assert_eq!(server.served(), 32);
 
     // A lone op still goes out as a plain Schedule frame.
-    assert_eq!(master.schedule_wave(vec![op(7)]), vec![ExecOutcome::Ok(Value::Int(8))]);
+    assert_eq!(master.schedule_burst(vec![op(7)]), vec![ExecOutcome::Ok(Value::Int(8))]);
     assert_eq!(frames[0].load(Ordering::SeqCst), 2);
     server.stop();
 }

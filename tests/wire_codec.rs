@@ -27,29 +27,12 @@ use hetsec_webcom::{
     ScheduleReply, ScheduleRequest, ScheduledAction, TrustManager, WireError, WireRequest,
     WireResponse, MAX_DEPTH,
 };
+use hetsec_suite::Rng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// splitmix64 — the same deterministic generator the property suite
-/// uses.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 /// One corpus entry: a request or a response frame.
 #[derive(Debug)]
@@ -473,7 +456,7 @@ fn mutated_frames_only_ever_produce_wire_errors() {
     println!("wire_codec mutation seeds {base:#x}..{:#x}", base + SEEDS);
     let corpus = corpus();
     for seed in base..base + SEEDS {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let (name, frame) = &corpus[rng.below(corpus.len())];
         let encoded = frame.encode().expect("corpus frame encodes");
         let body = &encoded[4..];
