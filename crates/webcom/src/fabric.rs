@@ -15,21 +15,22 @@
 //! an error rather than a routing loop.
 //!
 //! Peer links come in two flavours: [`LocalPeerLink`] calls the peer
-//! master in-process (routers, tests, benches), [`TcpPeerLink`] dials
-//! the peer's [`serve_master`] listener — the listener core behind
-//! [`crate::serve_tcp`], answering with a peer-master handler instead
-//! of a client engine.
+//! master in-process (routers, tests, benches), [`TcpPeerLink`] is a
+//! [`MuxTransport`] connection to the peer's [`serve_master`] listener.
+//! Forwards from any number of callers share that one socket, each
+//! answered by `op_id`, and the listener — the listener core behind
+//! [`crate::serve_tcp`], with a peer-master handler instead of a client
+//! engine — answers several at once.
 
 use crate::master::{BurstOp, MasterStats, WebComMaster};
+use crate::mux::MuxTransport;
 use crate::net::Listener;
 use crate::protocol::{ExecError, ExecOutcome, ScheduleReply, ScheduleRequest};
-use crate::transport::{encode_error, exchange, TransportError};
-use crate::wire::encode_forward;
+use crate::transport::TransportError;
 use crate::{WireRequest, WireResponse};
 use hetsec_keynote::principal_fingerprint;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -158,21 +159,21 @@ impl PeerLink for LocalPeerLink {
     }
 }
 
-/// TCP peer link: dials a peer's [`serve_master`] listener and speaks
-/// `Forward`/`ForwardReply` frames, one forward in flight per link —
-/// with consistent rings, forwards are the rare path; the pipelined
-/// transport lives between masters and *clients*.
+/// TCP peer link: a [`MuxTransport`] connection to a peer's
+/// [`serve_master`] listener speaking `Forward`/`ForwardReply` frames.
+/// Forwards from many dispatch threads ride it at once, up to the mux
+/// window, each answered by `op_id`; a lost connection fails every
+/// forward in flight as a retryable `Closed`, and the next forward dials
+/// afresh.
 pub struct TcpPeerLink {
-    addr: SocketAddr,
-    conn: Mutex<Option<TcpStream>>,
+    mux: MuxTransport,
 }
 
 impl TcpPeerLink {
-    /// A link to the peer listening on `addr`.
+    /// A link to the peer listening on `addr`, dialled on first use.
     pub fn new(addr: SocketAddr) -> Self {
         TcpPeerLink {
-            addr,
-            conn: Mutex::new(None),
+            mux: MuxTransport::new(addr),
         }
     }
 }
@@ -184,21 +185,11 @@ impl PeerLink for TcpPeerLink {
         hops: u8,
         timeout: Duration,
     ) -> Result<ScheduleReply, TransportError> {
-        let frame = encode_forward(request, hops).map_err(encode_error)?;
-        match exchange(&mut self.conn.lock(), self.addr, &frame, timeout)? {
-            WireResponse::ForwardReply(reply) if reply.op_id == request.op_id => Ok(reply),
-            WireResponse::ForwardReply(reply) => Err(TransportError::Protocol(format!(
-                "forward reply for op {} while awaiting op {}",
-                reply.op_id, request.op_id
-            ))),
-            other => Err(TransportError::Protocol(format!(
-                "expected ForwardReply, got {other:?}"
-            ))),
-        }
+        self.mux.forward(request, hops, timeout)
     }
 
     fn describe(&self) -> String {
-        format!("tcp peer {}", self.addr)
+        format!("tcp peer {}", self.mux.peer())
     }
 }
 
@@ -225,15 +216,22 @@ impl MasterServer {
     }
 }
 
+/// The most threads that answer one peer connection's forwards at once
+/// (the listener's `pipeline`, see [`crate::ServeOptions::pipeline`]).
+/// A forward's handler holds its thread for a whole dispatch to the
+/// owner's client, and a [`TcpPeerLink`] keeps several forwards in
+/// flight on its one connection, so one thread per connection would
+/// queue them behind each other. A connection starts with two threads
+/// and grows toward this bound only while forwards wait with every
+/// thread busy, so an idle link costs two.
+pub const PEER_PIPELINE: usize = 8;
+
 /// Puts a master behind a TCP listener answering peer
 /// `Forward`/`ForwardReply` frames — how masters in different processes
 /// form one sharded fabric. `Identify`/`Schedule`/`ScheduleBatch`
 /// frames from stray clients are answered with a protocol error rather
-/// than silence.
-///
-/// Each connection answers its forwards on one thread (`pipeline` 1):
-/// a [`TcpPeerLink`] has one forward in flight, so a second thread
-/// would only wait.
+/// than silence. Each connection answers up to [`PEER_PIPELINE`]
+/// forwards at once, replying in completion order.
 pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<MasterServer> {
     let forwards = Arc::new(AtomicUsize::new(0));
     let handler_forwards = Arc::clone(&forwards);
@@ -261,7 +259,8 @@ pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<Ma
             "this endpoint serves master-to-master forwards, not client batches",
         )),
     };
-    let listener = Listener::spawn(addr, "webcom-master-serve".to_string(), 1, handler)?;
+    let listener =
+        Listener::spawn(addr, "webcom-master-serve".to_string(), PEER_PIPELINE, handler)?;
     Ok(MasterServer { forwards, listener })
 }
 
@@ -382,6 +381,7 @@ impl ShardRouter {
 mod tests {
     use super::*;
     use crate::authz::TrustManager;
+    use std::net::TcpStream;
 
     #[test]
     fn ring_is_deterministic_and_total() {

@@ -56,7 +56,7 @@ pub use environment::EnvironmentBuilder;
 pub use executor::MiddlewareExecutor;
 pub use fabric::{
     serve_master, LocalPeerLink, MasterServer, PeerLink, ShardInfo, ShardRing, ShardRouter,
-    TcpPeerLink, DEFAULT_VNODES,
+    TcpPeerLink, DEFAULT_VNODES, PEER_PIPELINE,
 };
 pub use health::{BreakerState, ClientHealth, HealthConfig, HealthSnapshot};
 pub use histogram::{LatencyHistogram, LatencySnapshot};

@@ -41,6 +41,13 @@ $LINT diff fixtures/defects.kn fixtures/defects_v2.kn \
 echo "== sharded fabric tests (bounded: mux + forwarding must not hang) =="
 timeout 120 cargo test -q --test sharded_fabric
 
+echo "== peer links over mux: forwards overlap on one link, peer failures fail fast =="
+timeout 120 cargo test -q --test sharded_fabric -- \
+    two_forwards_are_in_flight_on_one_tcp_peer_link \
+    a_peer_stopped_mid_forward_fails_it_as_retryable_closed \
+    a_silent_peer_times_forwards_out_and_leaves_no_pending_entry \
+    ring_disagreement_over_tcp_peer_links_fails_fast_and_typed
+
 echo "== 2-shard mux smoke (small principal count, real TCP fabric) =="
 out="$(timeout 120 ./target/release/hetsec loadgen \
     --principals 500 --ops 60 --shards 2 --window 8 --callers 2 \

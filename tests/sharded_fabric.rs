@@ -9,18 +9,18 @@ use hetsec_rbac::User;
 use hetsec_suite::Rng;
 use hetsec_webcom::wire::{read_frame, write_frame};
 use hetsec_webcom::{
-    principal_key, serve_master, serve_tcp_with, synthetic_stack, ArithComponentExecutor, BurstOp,
-    ClientConfig, ClientEngine, ClientTransport, ComponentExecutor, ExecError, ExecOutcome,
-    LocalPeerLink, MuxTransport, PeerLink, ScheduleReply, ScheduleRequest, ScheduledAction,
-    ServeOptions, ShardInfo, ShardRing, ShardRouter, SleepingExecutor, TcpClientServer,
-    TcpPeerLink, TransportError, TrustManager, WebComMaster, WireRequest, WireResponse,
-    MAX_FORWARD_HOPS,
+    principal_key, serve_master, serve_tcp_with, spawn_client, synthetic_stack,
+    ArithComponentExecutor, BurstOp, ClientConfig, ClientEngine, ClientTransport,
+    ComponentExecutor, ExecError, ExecErrorKind, ExecOutcome, LocalPeerLink, MasterServer,
+    MuxTransport, PeerLink, ScheduleReply, ScheduleRequest, ScheduledAction, ServeOptions,
+    ShardInfo, ShardRing, ShardRouter, SleepingExecutor, TcpClientServer, TcpPeerLink,
+    TransportError, TrustManager, WebComMaster, WireRequest, WireResponse, MAX_FORWARD_HOPS,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn trust(keys: &[&str]) -> Arc<TrustManager> {
     let tm = TrustManager::permissive();
@@ -555,5 +555,307 @@ fn callers_on_both_masters_never_collide_on_op_ids() {
     }
     for s in servers {
         s.stop();
+    }
+}
+
+/// Holds each op until `parties` ops are inside it at once, or the test
+/// [opens](Rendezvous::open) it, for at most `hold`; records whether an
+/// op was let go by that timeout instead.
+struct Rendezvous {
+    parties: usize,
+    hold: Duration,
+    /// Ops that have arrived, and whether the test opened the gate.
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Rendezvous {
+    fn new(parties: usize, hold: Duration) -> Arc<Self> {
+        Arc::new(Rendezvous {
+            parties,
+            hold,
+            state: Mutex::new((0, false)),
+            changed: Condvar::new(),
+            timed_out: AtomicBool::new(false),
+        })
+    }
+
+    /// Waits up to 5 s for an op to arrive; true if one did.
+    fn wait_for_arrival(&self) -> bool {
+        let state = self.state.lock().unwrap();
+        !self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(5), |(arrived, _)| *arrived == 0)
+            .unwrap()
+            .1
+            .timed_out()
+    }
+
+    /// Lets every held op go.
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl ComponentExecutor for Rendezvous {
+    fn invoke(
+        &self,
+        user: &User,
+        component: &ComponentRef,
+        args: &[Value],
+    ) -> Result<Value, ExecError> {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        self.changed.notify_all();
+        let timed_out = self
+            .changed
+            .wait_timeout_while(state, self.hold, |(arrived, open)| {
+                *arrived < self.parties && !*open
+            })
+            .unwrap()
+            .1
+            .timed_out();
+        if timed_out {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+        ArithComponentExecutor.invoke(user, component, args)
+    }
+}
+
+/// Master `Km{s}` of a two-shard fabric, with one pipelined TCP client
+/// `c{s}` running `executor` behind a mux transport. The client trusts
+/// both masters, since a forwarded op carries its origin master's key.
+fn tcp_shard_master(
+    s: usize,
+    executor: Arc<dyn ComponentExecutor>,
+) -> (Arc<WebComMaster>, TcpClientServer) {
+    let engine = Arc::new(ClientEngine::new(ClientConfig {
+        name: format!("c{s}"),
+        key_text: format!("Kc{s}"),
+        master_trust: trust(&["Km0", "Km1"]),
+        stack: synthetic_stack(64),
+        executor,
+    }));
+    let server = serve_tcp_with(
+        engine,
+        vec!["Dom".into()],
+        "127.0.0.1:0",
+        ServeOptions { pipeline: 8 },
+    )
+    .expect("serve shard client");
+    let master = WebComMaster::new(format!("Km{s}"), trust(&[&format!("Kc{s}")]))
+        .with_op_timeout(Duration::from_secs(10));
+    let transport: Arc<dyn ClientTransport> = Arc::new(MuxTransport::new(server.local_addr()));
+    master.register_transport(format!("c{s}"), format!("Kc{s}"), transport, vec!["Dom".into()]);
+    (Arc::new(master), server)
+}
+
+/// A request owned by shard 1 of a two-shard ring, from master `Km0`.
+fn request_for_shard_1(op_id: u64) -> ScheduleRequest {
+    let ring = ShardRing::new(2);
+    let principal = (0..64)
+        .map(principal_key)
+        .find(|p| ring.owner_of(p) == 1)
+        .expect("some principal hashes to shard 1");
+    ScheduleRequest {
+        principal,
+        master_key: "Km0".to_string(),
+        ..raw_request(op_id)
+    }
+}
+
+/// Two callers on master 0 forward an op each to shard 1 over one
+/// `TcpPeerLink`. The owner's executor lets neither go until both are
+/// inside it, so both forwards must be in flight on the link, and
+/// served by the peer listener, at the same time. Over a link that
+/// holds one forward at a time, the first waits out the rendezvous.
+#[test]
+fn two_forwards_are_in_flight_on_one_tcp_peer_link() {
+    let rendezvous = Rendezvous::new(2, Duration::from_secs(5));
+    let (entry, entry_client) = tcp_shard_master(0, Arc::new(ArithComponentExecutor));
+    let (owner, owner_client) = tcp_shard_master(1, Arc::clone(&rendezvous) as _);
+    let masters = [entry, owner];
+    let peer_servers: Vec<MasterServer> = masters
+        .iter()
+        .map(|m| serve_master(Arc::clone(m), "127.0.0.1:0").expect("serve peer port"))
+        .collect();
+    let ring = Arc::new(ShardRing::new(2));
+    for (s, m) in masters.iter().enumerate() {
+        let link: Arc<dyn PeerLink> = Arc::new(TcpPeerLink::new(peer_servers[1 - s].local_addr()));
+        m.set_shard(Arc::new(ShardInfo {
+            ring: Arc::clone(&ring),
+            shard_id: s,
+            peers: HashMap::from([(1 - s, link)]),
+        }));
+    }
+    let owned: Vec<String> = (0..64)
+        .map(principal_key)
+        .filter(|p| ring.owner_of(p) == 1)
+        .take(2)
+        .collect();
+    let outcomes: Vec<ExecOutcome> = std::thread::scope(|scope| {
+        let callers: Vec<_> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, principal)| {
+                let entry = &masters[0];
+                scope.spawn(move || {
+                    entry.schedule_burst(vec![op(principal.clone(), vec![i as i64, 1])]).remove(0)
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().expect("caller thread")).collect()
+    });
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert_eq!(*outcome, ExecOutcome::Ok(Value::Int(i as i64 + 1)), "caller {i}");
+    }
+    assert!(
+        !rendezvous.timed_out.load(Ordering::SeqCst),
+        "the two forwards were never in flight at once"
+    );
+    assert_eq!(peer_servers[1].forwards(), 2);
+    for p in peer_servers {
+        p.stop();
+    }
+    entry_client.stop();
+    owner_client.stop();
+}
+
+/// A peer master stopped while a forward runs on it fails that forward
+/// at once as a lost connection — retryable — not at its deadline.
+#[test]
+fn a_peer_stopped_mid_forward_fails_it_as_retryable_closed() {
+    let gate = Rendezvous::new(usize::MAX, Duration::from_secs(10));
+    let (owner, owner_client) = tcp_shard_master(1, Arc::clone(&gate) as _);
+    let server = serve_master(owner, "127.0.0.1:0").expect("serve peer port");
+    let link = TcpPeerLink::new(server.local_addr());
+    let request = request_for_shard_1(1);
+    let deadline = Duration::from_secs(5);
+    let (result, elapsed) = std::thread::scope(|scope| {
+        let forward = scope.spawn(|| {
+            let started = Instant::now();
+            (link.forward(&request, 1, deadline), started.elapsed())
+        });
+        assert!(gate.wait_for_arrival(), "the forward never reached the owner's client");
+        server.stop();
+        let outcome = forward.join().expect("forwarding thread");
+        gate.open();
+        outcome
+    });
+    match result {
+        Err(e @ TransportError::Closed(_)) => assert!(e.to_exec_error().retryable),
+        other => panic!("expected a retryable Closed, got {other:?}"),
+    }
+    assert!(elapsed < deadline / 2, "failed after {elapsed:?} of a {deadline:?} deadline");
+    owner_client.stop();
+}
+
+/// A peer that accepts the connection and never answers costs each
+/// forward its budget, as a timeout. A second forward with the same op
+/// id also times out rather than being refused as a duplicate: the
+/// first one's pending entry was withdrawn.
+#[test]
+fn a_silent_peer_times_forwards_out_and_leaves_no_pending_entry() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind silent peer");
+    let link = TcpPeerLink::new(listener.local_addr().unwrap());
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the link");
+        let _ = done_rx.recv();
+        drop(stream);
+    });
+    let budget = Duration::from_millis(300);
+    let request = request_for_shard_1(7);
+    for attempt in 1..=2 {
+        let started = Instant::now();
+        let result = link.forward(&request, 1, budget);
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(result, Err(TransportError::Timeout(_))),
+            "forward {attempt}: expected a timeout, got {result:?}"
+        );
+        assert!(
+            elapsed < budget + Duration::from_millis(100),
+            "forward {attempt} took {elapsed:?} on a {budget:?} budget"
+        );
+    }
+    drop(link);
+    done_tx.send(()).unwrap();
+    silent.join().unwrap();
+}
+
+/// `hop_guard_trips_on_ring_disagreement` over TCP peer links: A and B
+/// both claim shard 1, so an op owned by shard 0 goes A → B → A → B. The
+/// third forward leaves A on the A → B link while the first, from A's
+/// own caller, still waits there for its reply under the same op id. The
+/// link's mux refuses it as a duplicate op before it reaches B's hop
+/// guard, and that typed refusal travels back along the chain. Either
+/// way the op ends at once, as a protocol failure, and no client runs it.
+#[test]
+fn ring_disagreement_over_tcp_peer_links_fails_fast_and_typed() {
+    let ring = Arc::new(ShardRing::new(2));
+    let principal = (0..64)
+        .map(principal_key)
+        .find(|p| ring.owner_of(p) == 0)
+        .expect("some principal hashes to shard 0");
+    let log: ShardLog = Arc::new(Mutex::new(Vec::new()));
+    let mut handles = Vec::new();
+    let mut masters = Vec::new();
+    for (s, key) in ["Ka", "Kb"].into_iter().enumerate() {
+        let handle = spawn_client(ClientConfig {
+            name: format!("c{s}"),
+            key_text: format!("Kc{s}"),
+            master_trust: trust(&["Ka", "Kb"]),
+            stack: synthetic_stack(64),
+            executor: Arc::new(ShardTaggingExecutor {
+                shard: s,
+                log: Arc::clone(&log),
+            }),
+        });
+        let master = WebComMaster::new(key.to_string(), trust(&[&format!("Kc{s}")]))
+            .with_op_timeout(Duration::from_secs(5));
+        master.register_client(&handle, vec!["Dom".into()]);
+        masters.push(Arc::new(master));
+        handles.push(handle);
+    }
+    let servers: Vec<MasterServer> = masters
+        .iter()
+        .map(|m| serve_master(Arc::clone(m), "127.0.0.1:0").expect("serve peer port"))
+        .collect();
+    for (s, m) in masters.iter().enumerate() {
+        let link: Arc<dyn PeerLink> = Arc::new(TcpPeerLink::new(servers[1 - s].local_addr()));
+        m.set_shard(Arc::new(ShardInfo {
+            ring: Arc::clone(&ring),
+            shard_id: 1,
+            peers: HashMap::from([(0, link)]),
+        }));
+    }
+    let started = Instant::now();
+    let outcome = masters[0].schedule_burst(vec![op(principal, vec![1, 2])]).remove(0);
+    let elapsed = started.elapsed();
+    match &outcome {
+        ExecOutcome::Failed(e) => {
+            assert_eq!(e.kind, ExecErrorKind::Protocol, "{e:?}");
+            assert!(
+                e.detail.contains("already in flight"),
+                "expected a duplicate-op refusal, got {e:?}"
+            );
+        }
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "took {elapsed:?} of a 20 s deadline (4 op timeouts)"
+    );
+    assert!(log.lock().unwrap().is_empty(), "a client ran a mis-routed op");
+    let rejected: usize = masters.iter().map(|m| m.stats().forward_rejected).sum();
+    assert_eq!(rejected, 0, "the duplicate refusal comes before the hop guard");
+    for server in servers {
+        server.stop();
+    }
+    for handle in handles {
+        handle.shutdown();
     }
 }
