@@ -32,7 +32,8 @@
 use crate::audit::AuditLog;
 use crate::authz::{AuthzRequest, TrustManager};
 use crate::protocol::{
-    BatchOp, ComponentExecutor, ExecOutcome, ScheduleBatch, ScheduleReply, ScheduleRequest,
+    BatchOp, ComponentExecutor, ExecError, ExecOutcome, ScheduleBatch, ScheduleReply,
+    ScheduleRequest,
 };
 use crate::stack::{AuthzContext, AuthzStack, StackDecision};
 use std::sync::mpsc::{self, Sender};
@@ -205,8 +206,9 @@ impl ClientEngine {
         // Stamps only ever pre-answer signature verdicts — both
         // mediation steps still run in full.
         if let Some(verifier) = &self.stamp_verifier {
-            if !head.stamps.is_empty() {
-                let delta = verifier.admit(&head.stamps);
+            let stamps = head.presented.stamps();
+            if !stamps.is_empty() {
+                let delta = verifier.admit(stamps);
                 self.stats.lock().stamps.merge(&delta);
             }
         }
@@ -216,7 +218,7 @@ impl ClientEngine {
         let master_authorised = config.master_trust.decide(
             &AuthzRequest::principal(&head.master_key)
                 .action(&head.action)
-                .credentials(&head.credentials),
+                .credentials(head.presented.credentials()),
         );
         let master_denied = (!master_authorised).then(|| {
             format!(
@@ -230,7 +232,7 @@ impl ClientEngine {
                 user: head.user,
                 principal: head.principal,
                 action: head.action,
-                credentials: head.credentials,
+                presented: head.presented,
             },
             master_key: head.master_key,
             master_denied,
@@ -252,6 +254,17 @@ impl ClientEngine {
 
     fn decide_and_execute(&self, mediation: &Mediation, op: &BatchOp) -> (ExecOutcome, bool) {
         let config = &self.config;
+        // 0. A set the request names but no connection resolved is no
+        // set at all: fail closed before anything can grant.
+        if let Some(id) = mediation.ctx.presented.unresolved() {
+            return (
+                ExecOutcome::Failed(ExecError::protocol(format!(
+                    "client {}: presented set {id} was never resolved",
+                    config.name
+                ))),
+                false,
+            );
+        }
         if let Some(denial) = &mediation.master_denied {
             self.stats.lock().master_rejected += 1;
             return (ExecOutcome::Denied(denial.clone()), false);
@@ -404,6 +417,7 @@ pub fn spawn_engine(engine: Arc<ClientEngine>) -> ClientHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Presented;
     use crate::authz::ScheduledAction;
     use crate::protocol::ArithComponentExecutor;
     use crate::stack::TrustLayer;
@@ -462,8 +476,7 @@ mod tests {
                     user: "worker".into(),
                     principal: principal.to_string(),
                     master_key: master.to_string(),
-                    credentials: vec![],
-                    stamps: vec![],
+                    presented: Presented::default(),
                     args: vec![Value::Int(20), Value::Int(22)],
                 })],
                 tx,
@@ -543,15 +556,14 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Ksub".to_string(),
-            credentials: vec![delegation],
-            stamps: vec![],
+            presented: vec![delegation].into(),
             args: vec![Value::Int(1), Value::Int(1)],
         };
         assert!(engine.handle(&req).outcome.is_ok());
         assert_eq!(master_trust.credential_count(), count_before);
         // Without the delegation the sub-master is rejected.
         req.op_id = 2;
-        req.credentials.clear();
+        req.presented = Presented::Nothing;
         assert!(matches!(
             engine.handle(&req).outcome,
             ExecOutcome::Denied(ref m) if m.contains("master")
@@ -600,8 +612,7 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Kmaster".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             args: vec![Value::Int(20), Value::Int(22)],
         }
     }
@@ -694,8 +705,7 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Kmaster".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             args: vec![Value::Int(2), Value::Int(2)],
         };
         assert!(engine.handle(&req).outcome.is_ok());

@@ -258,6 +258,10 @@ pub fn serve_master(master: Arc<WebComMaster>, addr: &str) -> std::io::Result<Ma
         WireRequest::ScheduleBatch(_) => WireResponse::Error(ExecError::protocol(
             "this endpoint serves master-to-master forwards, not client batches",
         )),
+        // Applied by the connection's reader; never answered.
+        WireRequest::DefineSet { .. } => {
+            WireResponse::Error(ExecError::protocol("a set definition is not a request"))
+        }
     };
     let listener =
         Listener::spawn(addr, "webcom-master-serve".to_string(), PEER_PIPELINE, handler)?;
@@ -380,6 +384,7 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Presented;
     use crate::authz::TrustManager;
     use std::net::TcpStream;
 
@@ -463,8 +468,7 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Km".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             ops: (1..=2).map(|op_id| BatchOp { op_id, args: vec![] }).collect(),
         };
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();

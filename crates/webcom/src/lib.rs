@@ -71,14 +71,15 @@ pub use mux::{MuxTransport, DEFAULT_WINDOW};
 pub use net::{serve_tcp, serve_tcp_with, ServeOptions, TcpClientServer};
 pub use protocol::{
     ArithComponentExecutor, BatchOp, ClientIdentity, ComponentExecutor, ExecError, ExecErrorKind,
-    ExecOutcome, ScheduleBatch, ScheduleReply, ScheduleRequest, WireRequest, WireResponse,
-    MAX_FORWARD_HOPS,
+    ExecOutcome, Presented, PresentedSet, ScheduleBatch, ScheduleReply, ScheduleRequest, SetId,
+    WireRequest, WireResponse, MAX_FORWARD_HOPS,
 };
 pub use transport::{ChannelTransport, ClientTransport, FaultyTransport, TransportError};
 pub use stamp::{StampIssuer, StampStats, StampVerifier};
 pub use wire::{
     decode_frame, encode_forward, encode_frame, encode_schedule, encode_schedule_batch,
     read_frame, write_encoded, write_frame, WireError, MAX_DEPTH, MAX_FRAME_LEN,
+    SET_TABLE_CAPACITY,
 };
 pub use stack::{
     ApplicationLayer, AuthzContext, AuthzLayer, AuthzStack, CombinationRule, LayerLevel,

@@ -474,7 +474,7 @@ mod tests {
                 "Dom",
                 "Worker",
             ),
-            credentials: vec![],
+            presented: crate::protocol::Presented::default(),
         };
         assert!(stack.decide(&ctx).permitted);
         let stranger = crate::stack::AuthzContext {

@@ -35,9 +35,17 @@
 //! `pipeline`, and a slow op delays its batch-mates' replies by about
 //! `HELP_AFTER`, not by its own run time.
 //!
+//! The leader also keeps the connection's table of presented sets (see
+//! [`crate::wire`]): it applies each `DefineSet` frame and replaces each
+//! set a request frame names by id with the set itself, in frame order,
+//! before it passes the read role on, so handlers only ever get
+//! complete requests.
+//!
 //! Malformed, oversized or truncated frames close the connection — they
-//! never panic the server — and a closed connection leaves the tracked
-//! set.
+//! never panic the server — and so do a definition whose stated id is
+//! not its content's and a frame naming a set the peer never defined
+//! (or one already evicted); nothing of such a frame runs. A closed
+//! connection leaves the tracked set.
 //!
 //! The returned [`TcpClientServer`] can [`stop`](TcpClientServer::stop)
 //! (orderly) or [`kill`](TcpClientServer::kill) (abrupt, severing live
@@ -49,7 +57,7 @@ use crate::protocol::{
     BatchOp, ClientIdentity, ExecError, ExecOutcome, ScheduleBatch, ScheduleReply, WireRequest,
     WireResponse,
 };
-use crate::wire::{encode_frame, write_encoded, FrameReader};
+use crate::wire::{encode_frame, write_encoded, FrameReader, SetTable};
 use hetsec_rbac::Domain;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -253,6 +261,8 @@ struct Connection<'a, H> {
 /// What the leader holds.
 struct Turn {
     frames: FrameReader,
+    /// The presented sets the peer has defined on this connection.
+    sets: SetTable,
     /// Threads serving the connection, at most `pipeline`.
     threads: usize,
     /// Whether reads time out after [`HELP_AFTER`].
@@ -391,20 +401,39 @@ impl<'a, H: Handler> Connection<'a, H> {
                     turn.polling = waiting;
                 }
             }
-            match turn.frames.read_frame::<WireRequest, _>(&mut &self.stream) {
-                Ok(WireRequest::ScheduleBatch(batch)) => match self.handler.split(batch) {
+            let request = match turn.frames.read_frame::<WireRequest, _>(&mut &self.stream) {
+                Ok(request) => request,
+                Err(e) if e.is_timeout() => continue,
+                Err(_) => return None,
+            };
+            let mut request = match request {
+                // Stored under the id its content hashes to, in frame
+                // order; a stated id that is not that closes the
+                // connection.
+                WireRequest::DefineSet { id, set } if set.id() == Some(id) => {
+                    turn.sets.insert(id, set);
+                    continue;
+                }
+                WireRequest::DefineSet { .. } => return None,
+                request => request,
+            };
+            // A set named but never defined closes the connection:
+            // nothing of the frame runs.
+            if !turn.sets.resolve(&mut request) {
+                return None;
+            }
+            return Some(match request {
+                WireRequest::ScheduleBatch(batch) => match self.handler.split(batch) {
                     Ok(batch) => {
                         if batch.len() > 0 {
                             self.backlog.lock().ops.push_back((batch, 0, Instant::now()));
                         }
-                        return Some(Work::Backlog);
+                        Work::Backlog
                     }
-                    Err(batch) => return Some(Work::Frame(WireRequest::ScheduleBatch(batch))),
+                    Err(batch) => Work::Frame(WireRequest::ScheduleBatch(batch)),
                 },
-                Ok(request) => return Some(Work::Frame(request)),
-                Err(e) if e.is_timeout() => {}
-                Err(_) => return None,
-            }
+                request => Work::Frame(request),
+            });
         }
     }
 
@@ -454,6 +483,7 @@ fn connection_loop<H: Handler>(stream: TcpStream, handler: &H, pipeline: usize, 
         stream,
         turn: Mutex::new(Turn {
             frames: FrameReader::new(),
+            sets: SetTable::default(),
             threads: 1,
             polling: false,
         }),
@@ -609,6 +639,10 @@ impl Handler for ClientService {
             WireRequest::ScheduleBatch(batch) => {
                 WireResponse::ReplyBatch(self.engine.handle_batch(*batch))
             }
+            // Applied by the connection's reader; never answered.
+            WireRequest::DefineSet { .. } => WireResponse::Error(ExecError::protocol(
+                "a set definition is not a request",
+            )),
             // Clients execute for masters; only masters route for masters.
             WireRequest::Forward { request, .. } => WireResponse::ForwardReply(ScheduleReply {
                 op_id: request.op_id,
@@ -665,6 +699,7 @@ impl ServedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Presented;
     use crate::authz::{ScheduledAction, TrustManager};
     use crate::client::{ClientConfig, ClientEngine};
     use crate::mux::MuxTransport;
@@ -724,8 +759,7 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Kmaster".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             args: vec![Value::Int(20), Value::Int(22)],
         }
     }

@@ -16,6 +16,7 @@
 
 use crate::authz::{AuthzRequest, ScheduledAction, TrustManager};
 use crate::cache::{decision_fingerprint, CacheKey, CacheStats, DecisionCache};
+use crate::protocol::Presented;
 use hetsec_keynote::eval::ActionAttributes;
 use hetsec_middleware::security::MiddlewareSecurity;
 use hetsec_os::unix::{UnixAccess, UnixSecurity};
@@ -71,9 +72,10 @@ pub struct AuthzContext {
     pub principal: String,
     /// The action.
     pub action: ScheduledAction,
-    /// Credentials presented with the request (delegation chains etc.);
-    /// consumed by the trust-management layer.
-    pub credentials: Vec<hetsec_keynote::ast::Assertion>,
+    /// Credentials presented with the request (delegation chains etc.)
+    /// and the stamps over them, shared with the request; the
+    /// credentials are consumed by the trust-management layer.
+    pub presented: Presented,
 }
 
 impl AuthzContext {
@@ -83,8 +85,13 @@ impl AuthzContext {
             user: user.into(),
             principal: principal.into(),
             action,
-            credentials: Vec::new(),
+            presented: Presented::Nothing,
         }
+    }
+
+    /// The presented credentials.
+    pub fn credentials(&self) -> &[hetsec_keynote::ast::Assertion] {
+        self.presented.credentials()
     }
 }
 
@@ -240,7 +247,7 @@ impl AuthzStack {
                 principal: ctx.principal.clone(),
                 fingerprint: decision_fingerprint(
                     &ctx.action.attributes(),
-                    &ctx.credentials,
+                    ctx.credentials(),
                     &format!("{}\u{0}{:?}", ctx.user, self.rule),
                 ),
             })
@@ -387,7 +394,7 @@ impl AuthzLayer for TrustLayer {
         if self.tm.decide(
             &AuthzRequest::principal(&ctx.principal)
                 .action(&ctx.action)
-                .credentials(&ctx.credentials),
+                .credentials(ctx.credentials()),
         ) {
             Verdict::Grant
         } else {
@@ -411,7 +418,7 @@ impl AuthzLayer for TrustLayer {
             .map(|(c, attrs)| {
                 AuthzRequest::principal(&c.principal)
                     .attributes_ref(attrs)
-                    .credentials(&c.credentials)
+                    .credentials(c.credentials())
             })
             .collect();
         self.tm
@@ -777,7 +784,7 @@ mod tests {
 
         let count_before = tm.credential_count();
         let mut request_a = ctx("temp", "Ktemp", "read");
-        request_a.credentials.push(delegation);
+        request_a.presented = vec![delegation].into();
         assert!(matches!(layer.decide(&request_a), Verdict::Grant));
         // Nothing leaked into the store...
         assert_eq!(tm.credential_count(), count_before);
@@ -800,7 +807,7 @@ mod tests {
         )
         .unwrap();
         let mut c = ctx("temp", "Ktemp", "read");
-        c.credentials.push(delegation);
+        c.presented = vec![delegation].into();
         let count_before = tm.credential_count();
         assert!(stack.decide(&c).permitted);
         assert_eq!(tm.credential_count(), count_before);

@@ -310,6 +310,7 @@ impl ClientTransport for FaultyTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Presented;
     use crate::protocol::ExecOutcome;
     use hetsec_graphs::Value;
 
@@ -344,8 +345,7 @@ mod tests {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Kmaster".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             args: vec![],
         }
     }

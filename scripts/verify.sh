@@ -98,6 +98,16 @@ timeout 120 cargo test -q --test wave_batching -- \
     a_slow_op_does_not_hold_back_its_batch_mates
 timeout 120 cargo test -q --test wave_frame_count -- a_32_wide_zero_service_wave_is_one_frame_each_way
 
+echo "== presented sets: a set crosses a connection once, then goes by id =="
+timeout 120 cargo test -q --test presented_sets -- \
+    requests_by_reference_equal_their_inline_decoding \
+    a_set_crosses_a_connection_once_and_again_after_a_cut \
+    undefined_or_misdefined_sets_close_the_connection_with_nothing_run \
+    an_unresolved_set_fails_closed_at_the_client_and_the_mux
+timeout 120 cargo test -q --test verdict_stamps -- a_tampered_credential_in_a_definition_is_refused_as_inline
+timeout 120 cargo test -q -p hetsec-webcom --lib -- \
+    reference_frames_match_the_owned_named_form the_set_table_evicts_first_in_first_out
+
 echo "== listener bookkeeping: closed connections leave the tracked set =="
 timeout 120 cargo test -q -p hetsec-webcom --lib -- closed_connections_leave_the_tracked_set peer_listener_untracks_closed_connections
 

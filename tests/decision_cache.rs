@@ -47,7 +47,7 @@ fn presented_credential_does_not_leak_into_later_requests() {
 
     // Request A presents the delegation and is granted.
     let mut request_a = ctx("Ktemp", "add");
-    request_a.credentials.push(delegation);
+    request_a.presented = vec![delegation].into();
     assert!(stack.decide(&request_a).permitted);
 
     // Deciding mutated nothing: no stored credentials, no epoch bump.

@@ -7,8 +7,8 @@ use hetsec_webcom::{
     decode_frame, encode_frame, serve_tcp, spawn_client, ArithComponentExecutor, AuthzStack,
     Binding, BreakerState, ChannelTransport, ClientConfig, ClientEngine, ClientTransport,
     ComponentExecutor, ExecError, ExecOutcome, FaultyTransport, HealthConfig, MuxTransport,
-    RetryPolicy, ScheduleRequest, ScheduledAction, TcpClientServer, TrustManager, WebComMaster,
-    WireError, WireRequest, WireResponse,
+    Presented, RetryPolicy, ScheduleRequest, ScheduledAction, TcpClientServer, TrustManager,
+    WebComMaster, WireError, WireRequest, WireResponse,
 };
 use hetsec_graphs::Value;
 use hetsec_middleware::component::ComponentRef;
@@ -379,8 +379,7 @@ fn wire_roundtrip_of_every_message_shape() {
         user: "worker".into(),
         principal: "Kworker".to_string(),
         master_key: "Kmaster".to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         args: vec![Value::Int(-3), Value::Str("x\"y\\z".into()), Value::Bool(true)],
     }));
     let frame = encode_frame(&request).unwrap();
@@ -405,8 +404,7 @@ fn truncated_schedule_frames_error_at_every_cut() {
         user: "worker".into(),
         principal: "Kworker".to_string(),
         master_key: "Kmaster".to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         args: vec![Value::Int(1)],
     })))
     .unwrap();
@@ -485,8 +483,7 @@ fn tcp_transport_reports_protocol_violation_for_alien_replies() {
         user: "worker".into(),
         principal: "Kworker".to_string(),
         master_key: "Kmaster".to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         args: vec![],
     };
     let err = transport

@@ -10,11 +10,11 @@ use hetsec_suite::Rng;
 use hetsec_webcom::wire::{read_frame, write_frame};
 use hetsec_webcom::{
     principal_key, serve_master, serve_tcp_with, spawn_client, synthetic_stack,
-    ArithComponentExecutor, BurstOp, ClientConfig, ClientEngine, ClientTransport,
-    ComponentExecutor, ExecError, ExecErrorKind, ExecOutcome, LocalPeerLink, MasterServer,
-    MuxTransport, PeerLink, ScheduleReply, ScheduleRequest, ScheduledAction, ServeOptions,
-    ShardInfo, ShardRing, ShardRouter, SleepingExecutor, TcpClientServer, TcpPeerLink,
-    TransportError, TrustManager, WebComMaster, WireRequest, WireResponse, MAX_FORWARD_HOPS,
+    ArithComponentExecutor, BurstOp, ClientConfig, ClientEngine, ClientTransport, ComponentExecutor,
+    ExecError, ExecErrorKind, ExecOutcome, LocalPeerLink, MasterServer, MuxTransport, PeerLink,
+    Presented, ScheduleReply, ScheduleRequest, ScheduledAction, ServeOptions, ShardInfo, ShardRing,
+    ShardRouter, SleepingExecutor, TcpClientServer, TcpPeerLink, TransportError, TrustManager,
+    WebComMaster, WireRequest, WireResponse, MAX_FORWARD_HOPS,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -169,8 +169,7 @@ fn raw_request(op_id: u64) -> ScheduleRequest {
         user: "worker".into(),
         principal: principal_key(0),
         master_key: "Km".to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         args: vec![Value::Int(1), Value::Int(2)],
     }
 }
@@ -791,8 +790,10 @@ fn a_silent_peer_times_forwards_out_and_leaves_no_pending_entry() {
 /// third forward leaves A on the A → B link while the first, from A's
 /// own caller, still waits there for its reply under the same op id. The
 /// link's mux refuses it as a duplicate op before it reaches B's hop
-/// guard, and that typed refusal travels back along the chain. Either
-/// way the op ends at once, as a protocol failure, and no client runs it.
+/// guard; A reads that refusal as the op bouncing, counts it in
+/// `forward_rejected` and fails it as the hop guard would, naming the
+/// disagreement. The op ends at once, as a protocol failure, and no
+/// client runs it.
 #[test]
 fn ring_disagreement_over_tcp_peer_links_fails_fast_and_typed() {
     let ring = Arc::new(ShardRing::new(2));
@@ -839,8 +840,8 @@ fn ring_disagreement_over_tcp_peer_links_fails_fast_and_typed() {
         ExecOutcome::Failed(e) => {
             assert_eq!(e.kind, ExecErrorKind::Protocol, "{e:?}");
             assert!(
-                e.detail.contains("already in flight"),
-                "expected a duplicate-op refusal, got {e:?}"
+                e.detail.contains("rings disagree"),
+                "expected the ring disagreement named, got {e:?}"
             );
         }
         other => panic!("expected a typed failure, got {other:?}"),
@@ -851,7 +852,7 @@ fn ring_disagreement_over_tcp_peer_links_fails_fast_and_typed() {
     );
     assert!(log.lock().unwrap().is_empty(), "a client ran a mis-routed op");
     let rejected: usize = masters.iter().map(|m| m.stats().forward_rejected).sum();
-    assert_eq!(rejected, 0, "the duplicate refusal comes before the hop guard");
+    assert!(rejected >= 1, "the bouncing op is not counted in forward_rejected");
     for server in servers {
         server.stop();
     }

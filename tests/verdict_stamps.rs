@@ -15,10 +15,12 @@ use hetsec_middleware::naming::MiddlewareKind;
 use hetsec_suite::Rng;
 use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
-    ArithComponentExecutor, AuthzRequest, AuthzStack, ClientConfig, ClientEngine, ExecOutcome,
-    ScheduleRequest, ScheduledAction, StampIssuer, StampVerifier, TrustManager,
+    serve_tcp, ArithComponentExecutor, AuthzRequest, AuthzStack, ClientConfig, ClientEngine,
+    ClientTransport, ExecOutcome, MuxTransport, Presented, ScheduleRequest, ScheduledAction,
+    StampIssuer, StampVerifier, TrustManager,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A value in `0..n`, drawn as a `u64` from the shared splitmix64
 /// generator.
@@ -254,8 +256,7 @@ fn client_engine_admits_stamps_riding_the_request() {
         user: "worker".into(),
         principal: "Kuser0".to_string(),
         master_key: "Km".to_string(),
-        credentials: creds.clone(),
-        stamps: stamps.as_ref().clone(),
+        presented: Presented::new(creds.clone(), stamps.as_ref().clone()),
         args: vec![
             hetsec_graphs::Value::Int(20),
             hetsec_graphs::Value::Int(22),
@@ -271,4 +272,94 @@ fn client_engine_admits_stamps_riding_the_request() {
         vstats.misses, 0,
         "the serving client verified nothing locally"
     );
+}
+
+/// The tamper property carried onto the wire: a credential altered
+/// after signing, in a set a mux connection sends once as a definition
+/// and then names by id, is refused exactly as the same set presented
+/// inline is, stamps and all. Each alteration keeps the credential
+/// licensing the requesting principal, so only the broken signature
+/// refuses it; the genuine credential is the control.
+#[test]
+fn a_tampered_credential_in_a_definition_is_refused_as_inline() {
+    let mut rng = Rng::new(0xDEF1_5E75_7A3B_E5E7);
+    let issuer = KeyPair::from_label("vs-def-issuer");
+    for case in 0..12u64 {
+        let delegator = KeyPair::from_label(&format!("vs-def-delegator-{case}"));
+        let dkey = delegator.public().to_text();
+        let principal = format!("Kuser{}", below(&mut rng, 1000));
+        let genuine = delegation(&delegator, &principal);
+        let fp = credential_fingerprint(&genuine).expect("signed credential has a fingerprint");
+        let stamp = VerdictStamp::issue(&issuer, fp, &SignatureStatus::Valid, 0, 0);
+        let mut forged = genuine.clone();
+        let field = below(&mut rng, 4);
+        match field {
+            0 => {
+                let mut signature = forged.signature.take().expect("signed");
+                let idx = signature.len() - 1 - below(&mut rng, 8) as usize;
+                flip_hex(&mut signature, idx);
+                forged.signature = Some(signature);
+            }
+            1 => forged.licensees = Some(LicenseeExpr::Or(
+                Box::new(LicenseeExpr::Principal(principal.clone())),
+                Box::new(LicenseeExpr::Principal("Kother".to_string())),
+            )),
+            2 => forged.comment = Some(format!("case {case}")),
+            _ => forged
+                .local_constants
+                .push(("ORIGIN".to_string(), format!("case {case}"))),
+        }
+        assert_ne!(forged, genuine, "case {case}: tamper must change a field");
+        for (credential, grants) in [(&forged, false), (&genuine, true)] {
+            let engine = || {
+                let user_tm = strict_tm(&dkey);
+                let mut stack = AuthzStack::new();
+                stack.push(Arc::new(TrustLayer::new(Arc::clone(&user_tm))));
+                Arc::new(
+                    ClientEngine::new(ClientConfig {
+                        name: "c1".to_string(),
+                        key_text: "Kc1".to_string(),
+                        master_trust: strict_tm("Km"),
+                        stack: Arc::new(stack),
+                        executor: Arc::new(ArithComponentExecutor),
+                    })
+                    .with_stamp_verifier(Arc::new(
+                        StampVerifier::new(user_tm.verify_cache())
+                            .trust_issuer(&issuer.public().to_text()),
+                    )),
+                )
+            };
+            let request = ScheduleRequest {
+                op_id: 1,
+                action: add_action(),
+                user: "worker".into(),
+                principal: principal.clone(),
+                master_key: "Km".to_string(),
+                presented: Presented::new(vec![credential.clone()], vec![stamp.clone()]),
+                args: vec![
+                    hetsec_graphs::Value::Int(20),
+                    hetsec_graphs::Value::Int(22),
+                ],
+            };
+            let inline = engine();
+            let inline_outcome = inline.handle(&request).outcome;
+            let served = engine();
+            let server = serve_tcp(Arc::clone(&served), vec!["Dom".into()], "127.0.0.1:0").unwrap();
+            let wire_outcome = MuxTransport::new(server.local_addr())
+                .call(&request, Duration::from_secs(10))
+                .expect("the served client answers")
+                .outcome;
+            server.stop();
+            assert_eq!(
+                wire_outcome, inline_outcome,
+                "case {case}: field {field}, grants {grants}: the definition changed the verdict"
+            );
+            assert_eq!(
+                inline_outcome.is_ok(),
+                grants,
+                "case {case}: field {field}: {inline_outcome:?}"
+            );
+            assert_eq!(served.stats(), inline.stats(), "case {case}: field {field}");
+        }
+    }
 }

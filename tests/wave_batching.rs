@@ -24,8 +24,9 @@ use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     decode_frame, encode_frame, encode_schedule_batch, read_frame, serve_tcp_with, write_frame,
     ArithComponentExecutor, AuditLog, AuthzStack, BatchOp, ClientConfig, ClientEngine,
-    ComponentExecutor, ExecError, ExecOutcome, ScheduleBatch, ScheduleReply, ScheduleRequest,
-    ScheduledAction, ServeOptions, TrustManager, WireError, WireRequest, WireResponse,
+    ComponentExecutor, ExecError, ExecOutcome, Presented, ScheduleBatch, ScheduleReply,
+    ScheduleRequest, ScheduledAction, ServeOptions, TrustManager, WireError, WireRequest,
+    WireResponse,
 };
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -98,8 +99,7 @@ fn request(batch: &ScheduleBatch, op: &BatchOp) -> ScheduleRequest {
         user: batch.user.clone(),
         principal: batch.principal.clone(),
         master_key: batch.master_key.clone(),
-        credentials: batch.credentials.clone(),
-        stamps: batch.stamps.clone(),
+        presented: batch.presented.clone(),
         args: op.args.clone(),
     }
 }
@@ -118,8 +118,7 @@ fn random_batch(rng: &mut Rng) -> ScheduleBatch {
         user: "worker".into(),
         principal: pick(rng, &["Kworker", "Kworker", "Kunlicensed"]).to_string(),
         master_key: pick(rng, &["Kmaster", "Kmaster", "Kmaster", "Kdistrusted"]).to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         ops,
     }
 }
@@ -193,8 +192,7 @@ fn batch_frames_match_their_golden_bytes() {
         user: "worker".into(),
         principal: "Kworker".to_string(),
         master_key: "Kmaster".to_string(),
-        credentials: vec![],
-        stamps: vec![],
+        presented: Presented::default(),
         args,
     })
     .collect();
@@ -278,8 +276,7 @@ fn a_slow_op_does_not_hold_back_its_batch_mates() {
             user: "worker".into(),
             principal: "Kworker".to_string(),
             master_key: "Kmaster".to_string(),
-            credentials: vec![],
-            stamps: vec![],
+            presented: Presented::default(),
             args: vec![],
         });
         batch.ops = (0..16u64)

@@ -5,7 +5,12 @@
 //! `WireRequest`/`WireResponse` variant (and a pretty-printed copy of
 //! the largest), as the codec produced them before it was rewritten to
 //! stream. The encoder must still produce those bytes exactly, so peers
-//! on either side of the rewrite interoperate.
+//! on either side of the rewrite interoperate. Three frames came later,
+//! with presented sets by reference: a `DefineSet` and a reference-form
+//! `Schedule` and `Forward` naming its set (`request_define_set`,
+//! `request_schedule_named`, `request_forward_named`); the set id in
+//! them is the SHA-256 of the set's inline encoding, checked when they
+//! were written with a SHA-256 independent of this workspace's.
 //!
 //! The mutation property feeds truncated, byte-flipped, duplicate-key
 //! and depth-bomb variants of every corpus frame to `decode_frame`,
@@ -24,8 +29,8 @@ use hetsec_webcom::stack::TrustLayer;
 use hetsec_webcom::{
     decode_frame, encode_frame, serve_tcp, ArithComponentExecutor, AuthzStack, ClientConfig,
     ClientEngine, ClientIdentity, ClientTransport, ExecError, ExecOutcome, MuxTransport,
-    ScheduleReply, ScheduleRequest, ScheduledAction, TrustManager, WireError, WireRequest,
-    WireResponse, MAX_DEPTH,
+    Presented, PresentedSet, ScheduleReply, ScheduleRequest, ScheduledAction, TrustManager,
+    WireError, WireRequest, WireResponse, MAX_DEPTH,
 };
 use hetsec_suite::Rng;
 use std::io::{Read, Write};
@@ -135,8 +140,7 @@ fn schedule_request(
         user: "worker".into(),
         principal: "Kworker".to_string(),
         master_key: "Kmaster".to_string(),
-        credentials,
-        stamps,
+        presented: Presented::new(credentials, stamps),
         args: vec![Value::Int(20), Value::Int(22)],
     }
 }
@@ -153,6 +157,12 @@ fn reply(op_id: u64, outcome: ExecOutcome, replayed: bool) -> ScheduleReply {
 /// Every frame in `fixtures/wire/`, by file stem.
 fn corpus() -> Vec<(&'static str, Frame)> {
     let (credentials, stamps) = signed_credentials(8);
+    let set = Arc::new(PresentedSet::new(credentials.clone(), stamps.clone()));
+    let id = set.id().expect("the corpus set encodes");
+    let named = |op_id| ScheduleRequest {
+        presented: Presented::Named(id),
+        ..schedule_request(op_id, vec![], vec![])
+    };
     let mut scalars = schedule_request(7, vec![], vec![]);
     scalars.args = vec![
         Value::Unit,
@@ -222,6 +232,21 @@ fn corpus() -> Vec<(&'static str, Frame)> {
             Frame::Response(WireResponse::Error(ExecError::protocol(
                 "this endpoint serves master-to-master forwards, not client identify",
             ))),
+        ),
+        (
+            "request_define_set",
+            Frame::Request(WireRequest::DefineSet { id, set }),
+        ),
+        (
+            "request_schedule_named",
+            Frame::Request(WireRequest::Schedule(Box::new(named(8)))),
+        ),
+        (
+            "request_forward_named",
+            Frame::Request(WireRequest::Forward {
+                request: Box::new(named(u64::MAX - 1)),
+                hops: 1,
+            }),
         ),
     ]
 }
@@ -294,7 +319,7 @@ fn a_500_licensee_chain_round_trips() {
 #[test]
 fn encoder_refuses_nesting_past_the_cap() {
     let mut request = schedule_request(1, vec![], vec![]);
-    request.credentials = vec![Assertion::new(Principal::Policy, or_chain("K", MAX_DEPTH))];
+    request.presented = vec![Assertion::new(Principal::Policy, or_chain("K", MAX_DEPTH))].into();
     match encode_frame(&WireRequest::Schedule(Box::new(request))) {
         Err(WireError::Malformed(msg)) => assert!(msg.contains("nesting"), "{msg}"),
         other => panic!("expected Malformed, got {other:?}"),
