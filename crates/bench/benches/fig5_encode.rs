@@ -3,14 +3,11 @@
 //!
 //! Measures Policy Comprehension (§4.2): encoding `HasPermission` tables
 //! into the Figure 5 policy assertion and `UserRole` rows into Figure 6
-//! credentials, serial vs the batch helpers, plus the inverse (Policy
-//! Configuration, §4.1) decode. The batch helpers run sequentially; their
-//! two series keep their historical names so committed series still
-//! compare.
+//! credentials, plus the inverse (Policy Configuration, §4.1) decode,
+//! per policy and as sequential sweeps over 32 policies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hetsec_rbac::fixtures::{salaries_policy, synthetic_policy};
-use hetsec_translate::batch::{decode_policies_par, encode_policies_par};
 use hetsec_translate::{decode_policy, encode_policy, SymbolicDirectory};
 use std::hint::black_box;
 
@@ -43,7 +40,7 @@ fn bench_fig5(c: &mut Criterion) {
         });
     }
 
-    // Batch sweeps: serial vs parallel over 32 policies.
+    // Batch sweeps: one policy after another over 32 policies.
     let policies: Vec<_> = (0..32).map(|_| synthetic_policy(2, 4, 3, 4)).collect();
     group.bench_function("batch32_serial", |b| {
         b.iter(|| {
@@ -54,12 +51,18 @@ fn bench_fig5(c: &mut Criterion) {
             black_box(out)
         })
     });
-    group.bench_function("batch32_rayon", |b| {
-        b.iter(|| black_box(encode_policies_par(&policies, "KWebCom", &dir)))
-    });
-    let encoded_sets = encode_policies_par(&policies, "KWebCom", &dir);
-    group.bench_function("batch32_decode_rayon", |b| {
-        b.iter(|| black_box(decode_policies_par(&encoded_sets, "KWebCom", &dir)))
+    let encoded_sets: Vec<_> = policies
+        .iter()
+        .map(|p| encode_policy(p, "KWebCom", &dir))
+        .collect();
+    group.bench_function("batch32_decode_serial", |b| {
+        b.iter(|| {
+            let out: Vec<_> = encoded_sets
+                .iter()
+                .map(|e| decode_policy(e, "KWebCom", &dir))
+                .collect();
+            black_box(out)
+        })
     });
     group.finish();
 }

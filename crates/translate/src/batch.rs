@@ -1,43 +1,9 @@
-//! Batch translation helpers and real-key signing.
-//!
-//! Large deployments translate many middleware policies at once (the
-//! Figure 9 scenario has one per system). The sweeps run one policy
-//! after another; the `_par` names are kept for existing callers and
-//! bench series, since the policies are independent and a sweep could
-//! fan out unchanged.
+//! Real-key signing of translated assertions.
 
-use crate::comprehension::encode_policy;
-use crate::configuration::{decode_policy, DecodeReport};
 use crate::directory::KeyStoreDirectory;
-use crate::directory::PrincipalDirectory;
 use hetsec_keynote::ast::{Assertion, Principal};
 use hetsec_keynote::signing::sign_assertion;
 use hetsec_crypto::PublicKey;
-use hetsec_rbac::RbacPolicy;
-
-/// Encodes many policies, in input order.
-pub fn encode_policies_par(
-    policies: &[RbacPolicy],
-    webcom_key: &str,
-    directory: &dyn PrincipalDirectory,
-) -> Vec<Vec<Assertion>> {
-    policies
-        .iter()
-        .map(|p| encode_policy(p, webcom_key, directory))
-        .collect()
-}
-
-/// Decodes many assertion sets, in input order.
-pub fn decode_policies_par(
-    assertion_sets: &[Vec<Assertion>],
-    webcom_key: &str,
-    directory: &dyn PrincipalDirectory,
-) -> Vec<DecodeReport> {
-    assertion_sets
-        .iter()
-        .map(|a| decode_policy(a, webcom_key, directory))
-        .collect()
-}
 
 /// Signs every *unsigned* key-authored assertion whose authorizer key is
 /// owned by the directory's keystore. Returns how many were signed.
@@ -69,33 +35,12 @@ pub fn sign_owned(assertions: &mut [Assertion], directory: &KeyStoreDirectory) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::SymbolicDirectory;
+    use crate::comprehension::encode_policy;
+    use crate::directory::PrincipalDirectory;
     use hetsec_keynote::session::{ActionQuery, KeyNoteSession};
     use hetsec_keynote::signing::{verify_assertion, SignatureStatus};
-    use hetsec_rbac::fixtures::{salaries_policy, synthetic_policy};
+    use hetsec_rbac::fixtures::salaries_policy;
     use hetsec_rbac::User;
-
-    #[test]
-    fn parallel_encode_matches_serial() {
-        let dir = SymbolicDirectory::default();
-        let policies: Vec<RbacPolicy> = (1..5).map(|i| synthetic_policy(i, 2, 2, 1)).collect();
-        let par = encode_policies_par(&policies, "KWebCom", &dir);
-        for (p, got) in policies.iter().zip(&par) {
-            assert_eq!(got, &encode_policy(p, "KWebCom", &dir));
-        }
-    }
-
-    #[test]
-    fn parallel_roundtrip() {
-        let dir = SymbolicDirectory::default();
-        let policies: Vec<RbacPolicy> =
-            vec![salaries_policy(), synthetic_policy(2, 2, 2, 2), RbacPolicy::new()];
-        let encoded = encode_policies_par(&policies, "KWebCom", &dir);
-        let decoded = decode_policies_par(&encoded, "KWebCom", &dir);
-        for (original, report) in policies.iter().zip(&decoded) {
-            assert_eq!(&report.policy, original);
-        }
-    }
 
     #[test]
     fn sign_owned_produces_verifiable_credentials() {

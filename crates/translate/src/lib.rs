@@ -19,8 +19,8 @@
 //!   KeyNote compliance checker without any central table.
 //!
 //! [`directory`] maps users to keys (symbolic or PKI-backed);
-//! [`similarity`] provides the string metrics; [`batch`] parallelises
-//! sweeps and signs credential sets with real keys.
+//! [`similarity`] provides the string metrics; [`batch`] signs
+//! credential sets with real keys.
 
 pub mod batch;
 pub mod comprehension;

@@ -1,17 +1,16 @@
 //! Mediation auditing: a bounded, thread-safe log of stack decisions.
 //!
 //! The paper's maintenance story (§4.4) needs visibility into what the
-//! layers actually decided; [`AuditedStack`] wraps an
-//! [`AuthzStack`](crate::stack::AuthzStack) and records every decision
-//! (principal, user, component, per-layer trace) into a ring buffer the
-//! administrator can query.
+//! layers actually decided; [`AuditLog::record`] keeps each
+//! [`AuthzStack`](crate::stack::AuthzStack) decision (principal, user,
+//! component, per-layer trace) in a ring buffer the administrator can
+//! query. A client engine records through
+//! [`ClientEngine::with_audit`](crate::client::ClientEngine::with_audit).
 
-use crate::cache::CacheStats;
-use crate::stack::{AuthzContext, AuthzStack, StackDecision, Verdict};
+use crate::stack::{AuthzContext, StackDecision, Verdict};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One audited decision.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,9 +36,6 @@ pub struct AuditLog {
     seq: AtomicU64,
     denials: AtomicU64,
     grants: AtomicU64,
-    /// Latest decision-cache counters of the audited stack (all zero
-    /// when the stack has no cache configured).
-    cache: Mutex<CacheStats>,
 }
 
 impl AuditLog {
@@ -51,13 +47,10 @@ impl AuditLog {
             seq: AtomicU64::new(0),
             denials: AtomicU64::new(0),
             grants: AtomicU64::new(0),
-            cache: Mutex::new(CacheStats::default()),
         }
     }
 
-    /// Records one decision (used by [`AuditedStack`] and by client
-    /// engines auditing transport-served requests). Returns the record's
-    /// sequence number.
+    /// Records one decision. Returns the record's sequence number.
     pub fn record(&self, ctx: &AuthzContext, decision: &StackDecision) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if decision.permitted {
@@ -92,54 +85,6 @@ impl AuditLog {
         seq
     }
 
-    /// Records a burst of decisions in one pass: the sequence counter
-    /// advances once for the whole burst, grant/denial totals are
-    /// updated with one atomic add each, and the ring lock is taken
-    /// once for all pushes. Returns the first sequence number assigned
-    /// (records get consecutive numbers from it).
-    pub fn record_batch(&self, entries: &[(&AuthzContext, &StackDecision)]) -> u64 {
-        let n = entries.len() as u64;
-        let seq_base = self.seq.fetch_add(n, Ordering::Relaxed);
-        let grants = entries.iter().filter(|(_, d)| d.permitted).count() as u64;
-        if grants > 0 {
-            self.grants.fetch_add(grants, Ordering::Relaxed);
-        }
-        if n > grants {
-            self.denials.fetch_add(n - grants, Ordering::Relaxed);
-        }
-        let batch: Vec<AuditRecord> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (ctx, decision))| AuditRecord {
-                seq: seq_base + i as u64,
-                principal: ctx.principal.clone(),
-                user: ctx.user.to_string(),
-                component: ctx.action.component.identifier(),
-                permitted: decision.permitted,
-                trace: decision
-                    .trace
-                    .iter()
-                    .map(|(name, v)| {
-                        let summary = match v {
-                            Verdict::Grant => "grant".to_string(),
-                            Verdict::Abstain => "abstain".to_string(),
-                            Verdict::Deny(r) => format!("deny: {r}"),
-                        };
-                        (name.clone(), summary)
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mut records = self.records.lock();
-        for rec in batch {
-            if records.len() == self.capacity {
-                records.pop_front();
-            }
-            records.push_back(rec);
-        }
-        seq_base
-    }
-
     /// The most recent `n` records, oldest first.
     pub fn recent(&self, n: usize) -> Vec<AuditRecord> {
         let records = self.records.lock();
@@ -163,72 +108,19 @@ impl AuditLog {
             self.denials.load(Ordering::Relaxed),
         )
     }
-
-    /// The audited stack's decision-cache counters (hits, misses,
-    /// epoch invalidations), as of the most recent decision. All zero
-    /// when the stack decides without a cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        *self.cache.lock()
-    }
-
-    fn set_cache_stats(&self, stats: CacheStats) {
-        *self.cache.lock() = stats;
-    }
-}
-
-/// An authorisation stack that records every decision.
-pub struct AuditedStack {
-    stack: AuthzStack,
-    log: Arc<AuditLog>,
-}
-
-impl AuditedStack {
-    /// Wraps a stack with a log of the given capacity.
-    pub fn new(stack: AuthzStack, capacity: usize) -> Self {
-        AuditedStack {
-            stack,
-            log: Arc::new(AuditLog::new(capacity)),
-        }
-    }
-
-    /// The shared log handle.
-    pub fn log(&self) -> Arc<AuditLog> {
-        Arc::clone(&self.log)
-    }
-
-    /// Decides and records.
-    pub fn decide(&self, ctx: &AuthzContext) -> StackDecision {
-        let decision = self.stack.decide(ctx);
-        self.log.record(ctx, &decision);
-        if let Some(stats) = self.stack.cache_stats() {
-            self.log.set_cache_stats(stats);
-        }
-        decision
-    }
-
-    /// Decides a burst and records it with batched counters
-    /// ([`AuditLog::record_batch`]).
-    pub fn decide_batch(&self, ctxs: &[AuthzContext]) -> Vec<StackDecision> {
-        let decisions = self.stack.decide_batch(ctxs);
-        let entries: Vec<(&AuthzContext, &StackDecision)> =
-            ctxs.iter().zip(decisions.iter()).collect();
-        self.log.record_batch(&entries);
-        if let Some(stats) = self.stack.cache_stats() {
-            self.log.set_cache_stats(stats);
-        }
-        decisions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::authz::{ScheduledAction, TrustManager};
-    use crate::stack::TrustLayer;
+    use crate::stack::{AuthzStack, TrustLayer};
     use hetsec_middleware::component::ComponentRef;
     use hetsec_middleware::naming::MiddlewareKind;
+    use std::sync::Arc;
 
-    fn audited() -> AuditedStack {
+    /// A one-layer stack and a log of capacity 4.
+    fn audited() -> (AuthzStack, AuditLog) {
         let tm = TrustManager::permissive();
         tm.add_policy(
             "Authorizer: POLICY\nLicensees: \"Kok\"\nConditions: app_domain==\"WebCom\";\n",
@@ -236,7 +128,7 @@ mod tests {
         .unwrap();
         let mut stack = AuthzStack::new();
         stack.push(Arc::new(TrustLayer::new(Arc::new(tm))));
-        AuditedStack::new(stack, 4)
+        (stack, AuditLog::new(4))
     }
 
     fn ctx(principal: &str) -> AuthzContext {
@@ -251,12 +143,19 @@ mod tests {
         )
     }
 
+    /// Decides `principal`'s request and records the decision.
+    fn decide(stack: &AuthzStack, log: &AuditLog, principal: &str) -> bool {
+        let c = ctx(principal);
+        let decision = stack.decide(&c);
+        log.record(&c, &decision);
+        decision.permitted
+    }
+
     #[test]
     fn decisions_are_recorded_with_traces() {
-        let s = audited();
-        assert!(s.decide(&ctx("Kok")).permitted);
-        assert!(!s.decide(&ctx("Kbad")).permitted);
-        let log = s.log();
+        let (stack, log) = audited();
+        assert!(decide(&stack, &log, "Kok"));
+        assert!(!decide(&stack, &log, "Kbad"));
         let recent = log.recent(10);
         assert_eq!(recent.len(), 2);
         assert!(recent[0].permitted);
@@ -270,12 +169,11 @@ mod tests {
 
     #[test]
     fn ring_buffer_caps_retention_but_not_totals() {
-        let s = audited();
+        let (stack, log) = audited();
         for i in 0..10 {
             let p = if i % 2 == 0 { "Kok" } else { "Kbad" };
-            s.decide(&ctx(p));
+            decide(&stack, &log, p);
         }
-        let log = s.log();
         assert_eq!(log.recent(100).len(), 4); // capacity
         assert_eq!(log.totals(), (5, 5)); // full history counted
         // Sequence numbers stay monotone across eviction.
@@ -286,51 +184,31 @@ mod tests {
 
     #[test]
     fn denials_filter() {
-        let s = audited();
-        s.decide(&ctx("Kok"));
-        s.decide(&ctx("Kbad"));
-        s.decide(&ctx("Kworse"));
-        let denials = s.log().denials();
+        let (stack, log) = audited();
+        decide(&stack, &log, "Kok");
+        decide(&stack, &log, "Kbad");
+        decide(&stack, &log, "Kworse");
+        let denials = log.denials();
         assert_eq!(denials.len(), 2);
         assert!(denials.iter().all(|r| !r.permitted));
     }
 
     #[test]
-    fn cache_counters_visible_through_log() {
-        let tm = TrustManager::permissive();
-        tm.add_policy(
-            "Authorizer: POLICY\nLicensees: \"Kok\"\nConditions: app_domain==\"WebCom\";\n",
-        )
-        .unwrap();
-        let mut stack = AuthzStack::new().with_cache(64);
-        stack.push(Arc::new(TrustLayer::new(Arc::new(tm))));
-        let s = AuditedStack::new(stack, 4);
-        assert!(s.decide(&ctx("Kok")).permitted);
-        assert!(s.decide(&ctx("Kok")).permitted);
-        let stats = s.log().cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert!(stats.misses >= 1);
-        // An uncached stack reports zeros.
-        let uncached = audited();
-        uncached.decide(&ctx("Kok"));
-        assert_eq!(uncached.log().cache_stats(), crate::cache::CacheStats::default());
-    }
-
-    #[test]
     fn concurrent_recording() {
-        let s = Arc::new(audited());
+        let (stack, log) = audited();
+        let shared = Arc::new((stack, log));
         let handles: Vec<_> = (0..8)
             .map(|i| {
-                let s = Arc::clone(&s);
+                let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     let p = if i % 2 == 0 { "Kok" } else { "Kbad" };
-                    s.decide(&ctx(p)).permitted
+                    decide(&shared.0, &shared.1, p)
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(s.log().totals(), (4, 4));
+        assert_eq!(shared.1.totals(), (4, 4));
     }
 }

@@ -260,7 +260,7 @@ impl TrustManager {
                 }
                 keys[prev].fingerprint
             } else {
-                decision_fingerprint(&r.attrs, r.credentials, "")
+                decision_fingerprint(&r.attrs, r.credentials)
             };
             keys.push(CacheKey {
                 principal: r.principal_key(),

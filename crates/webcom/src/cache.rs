@@ -36,8 +36,8 @@ const SHARDS: usize = 16;
 pub struct CacheKey {
     /// The requesting principal(s), comma-joined.
     pub principal: String,
-    /// Fingerprint of the action attributes, presented credentials and
-    /// any caller-specific context (see [`decision_fingerprint`]).
+    /// Fingerprint of the action attributes and presented credentials
+    /// (see [`decision_fingerprint`]).
     pub fingerprint: u64,
 }
 
@@ -96,62 +96,12 @@ impl DecisionCache {
         (h.finish() as usize) % SHARDS
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
-        &self.shards[Self::shard_index(key)]
-    }
-
-    /// Looks up a decision computed under exactly `epoch`. A stale entry
-    /// (any other epoch) is discarded and counts as a miss.
-    pub fn get(&self, key: &CacheKey, epoch: u64) -> Option<bool> {
-        let mut shard = self.shard(key).lock();
-        match shard.get_mut(key) {
-            Some(entry) if entry.epoch == epoch => {
-                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let permitted = entry.permitted;
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(permitted)
-            }
-            Some(_) => {
-                shard.remove(key);
-                drop(shard);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a decision computed under `epoch`. The caller must have
-    /// read the epoch *before* evaluating, so a mutation racing with the
-    /// evaluation leaves the entry stale rather than wrong.
-    pub fn insert(&self, key: CacheKey, epoch: u64, permitted: bool) {
-        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock();
-        if shard.len() >= self.capacity_per_shard && !shard.contains_key(&key) {
-            // Evict the least-recently-used entry; shards are small, so
-            // a scan is cheaper than auxiliary bookkeeping.
-            if let Some(victim) = shard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.insert(key, Entry { epoch, permitted, last_used });
-    }
-
-    /// Batched [`get`](Self::get): looks up every key, taking each
-    /// shard's lock at most once per run. Results are positionally
-    /// aligned with `keys`; counters are flushed to the shared atomics
-    /// once per shard rather than once per lookup.
+    /// Looks up every key for a decision computed under exactly
+    /// `epoch`, taking each shard's lock at most once per run. A stale
+    /// entry (any other epoch) is discarded and counts as a miss.
+    /// Results are positionally aligned with `keys`; counters are
+    /// flushed to the shared atomics once per run rather than once per
+    /// lookup.
     pub fn get_many(&self, keys: &[CacheKey], epoch: u64) -> Vec<Option<bool>> {
         let mut out = vec![None; keys.len()];
         // Group lookups by shard so each lock is taken once.
@@ -194,9 +144,10 @@ impl DecisionCache {
         out
     }
 
-    /// Batched [`insert`](Self::insert): stores every decision, taking
-    /// each shard's lock at most once per run. Same epoch discipline as
-    /// the single-entry form: read the epoch before evaluating.
+    /// Stores every decision as computed under `epoch`, taking each
+    /// shard's lock at most once per run. The caller must have read the
+    /// epoch *before* evaluating, so a mutation racing with the
+    /// evaluation leaves the entries stale rather than wrong.
     pub fn insert_many(&self, entries: Vec<(CacheKey, bool)>, epoch: u64) {
         let n = entries.len() as u64;
         if n == 0 {
@@ -216,6 +167,9 @@ impl DecisionCache {
             let mut shard = self.shards[si].lock();
             for (key, permitted, last_used) in batch {
                 if shard.len() >= self.capacity_per_shard && !shard.contains_key(&key) {
+                    // Evict the least-recently-used entry; shards are
+                    // small, so a scan is cheaper than auxiliary
+                    // bookkeeping.
                     if let Some(victim) = shard
                         .iter()
                         .min_by_key(|(_, e)| e.last_used)
@@ -262,15 +216,10 @@ impl DecisionCache {
 }
 
 /// Fingerprints one decision's inputs: the action attributes (order
-/// independent), the canonical text of every presented credential, and
-/// an arbitrary caller context tag (combination rule, executing user,
-/// ...). Principals are *not* folded in — they live in
+/// independent) and the canonical text of every presented credential.
+/// Principals are *not* folded in — they live in
 /// [`CacheKey::principal`] so collisions cannot cross identities.
-pub fn decision_fingerprint(
-    attrs: &ActionAttributes,
-    credentials: &[Assertion],
-    context: &str,
-) -> u64 {
+pub fn decision_fingerprint(attrs: &ActionAttributes, credentials: &[Assertion]) -> u64 {
     let mut pairs: Vec<(&str, &str)> = attrs.iter().collect();
     pairs.sort_unstable();
     let mut h = DefaultHasher::new();
@@ -283,7 +232,6 @@ pub fn decision_fingerprint(
     for c in credentials {
         print_assertion(c).hash(&mut h);
     }
-    context.hash(&mut h);
     h.finish()
 }
 
@@ -295,14 +243,18 @@ mod tests {
         CacheKey { principal: principal.to_string(), fingerprint: fp }
     }
 
+    fn get(cache: &DecisionCache, key: CacheKey, epoch: u64) -> Option<bool> {
+        cache.get_many(&[key], epoch)[0]
+    }
+
     #[test]
     fn hit_requires_matching_epoch() {
         let cache = DecisionCache::new(64);
-        cache.insert(key("Ka", 1), 7, true);
-        assert_eq!(cache.get(&key("Ka", 1), 7), Some(true));
+        cache.insert_many(vec![(key("Ka", 1), true)], 7);
+        assert_eq!(get(&cache, key("Ka", 1), 7), Some(true));
         // Epoch moved: the entry is stale, discarded, and counted.
-        assert_eq!(cache.get(&key("Ka", 1), 8), None);
-        assert_eq!(cache.get(&key("Ka", 1), 8), None); // really gone
+        assert_eq!(get(&cache, key("Ka", 1), 8), None);
+        assert_eq!(get(&cache, key("Ka", 1), 8), None); // really gone
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
@@ -313,7 +265,7 @@ mod tests {
     fn capacity_is_bounded_with_lru_eviction() {
         let cache = DecisionCache::new(16); // 1 per shard
         for i in 0..1000 {
-            cache.insert(key("Ka", i), 0, i % 2 == 0);
+            cache.insert_many(vec![(key("Ka", i), i % 2 == 0)], 0);
         }
         assert!(cache.len() <= 16);
         assert!(cache.stats().evictions >= 1000 - 16);
@@ -322,34 +274,24 @@ mod tests {
     #[test]
     fn distinct_principals_never_collide() {
         let cache = DecisionCache::new(64);
-        cache.insert(key("Ka", 42), 0, true);
-        assert_eq!(cache.get(&key("Kb", 42), 0), None);
+        cache.insert_many(vec![(key("Ka", 42), true)], 0);
+        assert_eq!(get(&cache, key("Kb", 42), 0), None);
     }
 
     #[test]
     fn fingerprint_is_attribute_order_independent() {
         let a = ActionAttributes::new().with("x", "1").with("y", "2");
         let b = ActionAttributes::new().with("y", "2").with("x", "1");
-        assert_eq!(
-            decision_fingerprint(&a, &[], ""),
-            decision_fingerprint(&b, &[], "")
-        );
+        assert_eq!(decision_fingerprint(&a, &[]), decision_fingerprint(&b, &[]));
         let c = ActionAttributes::new().with("x", "1").with("y", "3");
-        assert_ne!(
-            decision_fingerprint(&a, &[], ""),
-            decision_fingerprint(&c, &[], "")
-        );
-        assert_ne!(
-            decision_fingerprint(&a, &[], ""),
-            decision_fingerprint(&a, &[], "other-context")
-        );
+        assert_ne!(decision_fingerprint(&a, &[]), decision_fingerprint(&c, &[]));
     }
 
     #[test]
     fn clear_empties_but_keeps_counters() {
         let cache = DecisionCache::new(64);
-        cache.insert(key("Ka", 1), 0, true);
-        assert_eq!(cache.get(&key("Ka", 1), 0), Some(true));
+        cache.insert_many(vec![(key("Ka", 1), true)], 0);
+        assert_eq!(get(&cache, key("Ka", 1), 0), Some(true));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1);

@@ -45,7 +45,7 @@ pub mod stamp;
 pub mod transport;
 pub mod wire;
 
-pub use audit::{AuditLog, AuditRecord, AuditedStack};
+pub use audit::{AuditLog, AuditRecord};
 pub use authz::{AuthzRequest, ScheduledAction, TrustManager, ADAPTER_ATTRIBUTES};
 pub use cache::{decision_fingerprint, CacheKey, CacheStats, DecisionCache};
 pub use client::{

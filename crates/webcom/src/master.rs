@@ -946,10 +946,9 @@ impl WebComMaster {
             }
         }
         let stamps = match (&self.stamp_issuer, epoch) {
-            (Some(issuer), Some(epoch)) if !forwarded.credentials.is_empty() => issuer
-                .stamps_for(epoch, &forwarded.credentials)
-                .as_ref()
-                .clone(),
+            (Some(issuer), Some(epoch)) if !forwarded.credentials.is_empty() => {
+                issuer.stamps_for(epoch, &forwarded.credentials)
+            }
             _ => Vec::new(),
         };
         let set = Presented::new(forwarded.credentials.clone(), stamps);
@@ -1078,10 +1077,11 @@ impl WebComMaster {
     /// the target's health through `permit` and does the per-outcome
     /// stats accounting. `Ok` is the op's final outcome. `Err` carries
     /// the error and whether re-asking the same client comes next (a
-    /// retryable failure, or a timeout: a timed-out client may already
-    /// have executed the op, and its executed-op memo replays the
-    /// recorded result instead of a second execution) rather than
-    /// failing over.
+    /// retryable failure, a timeout, or a connection lost after the
+    /// request was sent: such a client may already have executed the
+    /// op, and its executed-op memo replays the recorded result instead
+    /// of a second execution) rather than failing over. An unreachable
+    /// client is failed over at once.
     fn settle(
         &self,
         reply: Result<ScheduleReply, TransportError>,
@@ -1097,7 +1097,9 @@ impl WebComMaster {
                 if te.is_timeout() {
                     self.stats.lock().timeouts += 1;
                 }
-                return Err((te.to_exec_error(), te.is_timeout()));
+                let same_client =
+                    matches!(te, TransportError::Timeout(_) | TransportError::Closed(_));
+                return Err((te.to_exec_error(), same_client));
             }
         };
         match reply.outcome {
@@ -2054,6 +2056,59 @@ mod dispatch_tests {
         assert!(out.is_ok(), "{out:?}");
         assert_eq!(master.client_health()[0].state, BreakerState::Closed);
         assert_eq!(master.stats().exhausted, 4);
+    }
+
+    #[test]
+    fn a_lost_connection_is_retried_on_the_same_client() {
+        // The first call on a connection the client closed while idle
+        // fails `Closed`; the next call redials. With one authorised
+        // client, failing over would end the op.
+        let faulty = Arc::new(FaultyTransport::new(ScriptedOk));
+        faulty.drop_next(1);
+        let master = master_of(
+            vec![(
+                "c0".to_string(),
+                "Kc0".to_string(),
+                Arc::clone(&faulty) as Arc<dyn ClientTransport>,
+            )],
+            fast_retry(),
+            |m| m,
+        );
+        let out = master.schedule(&action(), &"worker".into(), "Kworker", vec![]);
+        assert_eq!(out, ExecOutcome::Ok(Value::Unit));
+        assert_eq!(faulty.calls(), 2);
+        let stats = master.stats();
+        assert_eq!((stats.retries, stats.failovers, stats.exhausted), (1, 0, 0));
+    }
+
+    #[test]
+    fn stamps_are_signed_once_per_epoch_and_set() {
+        // The master's presented-set memo is the only stamp memo: 100
+        // ops at one trust epoch sign each signed credential once, and
+        // an unsigned one not at all.
+        let t = ScriptedTransport::new("c1", vec![]);
+        let issuer = Arc::new(StampIssuer::new(hetsec_crypto::KeyPair::from_label("sm-master")));
+        let master = master_with(vec![("Kc1", Arc::clone(&t))], RetryPolicy::none())
+            .with_stamp_issuer(issuer);
+        for label in ["sm-1", "sm-2", "sm-3"] {
+            let kp = hetsec_crypto::KeyPair::from_label(label);
+            let mut credential = Assertion::new(
+                hetsec_keynote::ast::Principal::key(kp.public().to_text()),
+                hetsec_keynote::ast::LicenseeExpr::Principal("Kworker".to_string()),
+            );
+            hetsec_keynote::signing::sign_assertion(&mut credential, &kp).unwrap();
+            master.forward_credential(credential);
+        }
+        master.forward_credential(Assertion::new(
+            hetsec_keynote::ast::Principal::key("Kboss"),
+            hetsec_keynote::ast::LicenseeExpr::Principal("Kworker".to_string()),
+        ));
+        for _ in 0..100 {
+            let out = master.schedule(&action(), &"worker".into(), "Kworker", vec![]);
+            assert_eq!(out, ExecOutcome::Ok(Value::Unit));
+        }
+        assert_eq!(t.calls(), 100);
+        assert_eq!(master.stats().stamps_issued, 3);
     }
 
     /// A transport that always answers Ok(Unit) (for wrapping in

@@ -15,7 +15,6 @@
 //! [`Verdict`]; the stack combines them under a configurable rule.
 
 use crate::authz::{AuthzRequest, ScheduledAction, TrustManager};
-use crate::cache::{decision_fingerprint, CacheKey, CacheStats, DecisionCache};
 use crate::protocol::Presented;
 use hetsec_keynote::eval::ActionAttributes;
 use hetsec_middleware::security::MiddlewareSecurity;
@@ -116,11 +115,11 @@ pub trait AuthzLayer: Send + Sync {
         ctxs.iter().map(|c| self.decide(c)).collect()
     }
 
-    /// Version of the layer's decision-relevant state. A layer whose
-    /// verdicts can change over time (e.g. trust management as
-    /// credentials arrive and keys are revoked) must bump this whenever
-    /// they may; stateless layers keep the default constant. Stack-level
-    /// decision caching is invalidated whenever any layer's epoch moves.
+    /// Version of the layer's decision-relevant state, for diagnostics:
+    /// trust management reports its KeyNote epoch, which moves as
+    /// credentials arrive and keys are revoked; other layers keep the
+    /// default constant. Nothing caches on it — L0/L1 policy changes
+    /// through native administration without moving any epoch.
     fn epoch(&self) -> u64 {
         0
     }
@@ -155,9 +154,6 @@ pub struct StackDecision {
 pub struct AuthzStack {
     layers: Vec<Arc<dyn AuthzLayer>>,
     rule: CombinationRule,
-    /// Optional whole-stack decision cache, invalidated whenever any
-    /// layer's epoch moves (see [`AuthzLayer::epoch`]).
-    cache: Option<DecisionCache>,
 }
 
 impl AuthzStack {
@@ -166,7 +162,6 @@ impl AuthzStack {
         AuthzStack {
             layers: Vec::new(),
             rule: CombinationRule::default(),
-            cache: None,
         }
     }
 
@@ -174,28 +169,6 @@ impl AuthzStack {
     pub fn with_rule(mut self, rule: CombinationRule) -> Self {
         self.rule = rule;
         self
-    }
-
-    /// Enables whole-stack decision caching, memoising up to `capacity`
-    /// (principal, user, action, credentials) → permitted results.
-    /// Cached decisions skip every layer but carry a single-entry
-    /// `"cache"` trace instead of the per-layer one.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(DecisionCache::new(capacity));
-        self
-    }
-
-    /// Stack-cache counters, when caching is enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(DecisionCache::stats)
-    }
-
-    /// Combined epoch over all layers. Layer epochs are monotone, so
-    /// the (wrapping) sum moves whenever any layer's state does.
-    fn combined_epoch(&self) -> u64 {
-        self.layers
-            .iter()
-            .fold(0u64, |acc, l| acc.wrapping_add(l.epoch()))
     }
 
     /// Plugs a layer in (kept sorted top-down).
@@ -227,70 +200,11 @@ impl AuthzStack {
             .expect("batch of one yields one decision")
     }
 
-    /// Evaluates the stack for a burst of requests, consulting the
-    /// decision cache first when one is configured. The combined epoch
-    /// is read once *before* any layer runs, so a mutation racing with
-    /// the evaluation leaves cached entries stale rather than wrong;
-    /// cache lookups and refills take each shard's lock at most once
-    /// per burst, and every layer sees the still-undecided requests as
-    /// one [`AuthzLayer::decide_batch`] call. Results are positionally
-    /// aligned with `ctxs` and identical to deciding each request on
-    /// its own.
+    /// Evaluates the stack for a burst of requests: every layer sees
+    /// the requests still undecided as one [`AuthzLayer::decide_batch`]
+    /// call. Results are positionally aligned with `ctxs` and identical
+    /// to deciding each request on its own.
     pub fn decide_batch(&self, ctxs: &[AuthzContext]) -> Vec<StackDecision> {
-        let Some(cache) = &self.cache else {
-            let refs: Vec<&AuthzContext> = ctxs.iter().collect();
-            return self.evaluate_batch(&refs);
-        };
-        let keys: Vec<CacheKey> = ctxs
-            .iter()
-            .map(|ctx| CacheKey {
-                principal: ctx.principal.clone(),
-                fingerprint: decision_fingerprint(
-                    &ctx.action.attributes(),
-                    ctx.credentials(),
-                    &format!("{}\u{0}{:?}", ctx.user, self.rule),
-                ),
-            })
-            .collect();
-        let epoch = self.combined_epoch();
-        let cached = cache.get_many(&keys, epoch);
-        let mut out: Vec<Option<StackDecision>> = cached
-            .iter()
-            .map(|c| {
-                c.map(|permitted| StackDecision {
-                    permitted,
-                    trace: vec![(
-                        "cache".to_string(),
-                        if permitted {
-                            Verdict::Grant
-                        } else {
-                            Verdict::Deny("cached stack denial".to_string())
-                        },
-                    )],
-                })
-            })
-            .collect();
-        let miss_idx: Vec<usize> = cached
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.is_none().then_some(i))
-            .collect();
-        if !miss_idx.is_empty() {
-            let miss_ctxs: Vec<&AuthzContext> = miss_idx.iter().map(|&i| &ctxs[i]).collect();
-            let decisions = self.evaluate_batch(&miss_ctxs);
-            let mut inserts: Vec<(CacheKey, bool)> = Vec::with_capacity(miss_idx.len());
-            for (&i, decision) in miss_idx.iter().zip(decisions) {
-                inserts.push((keys[i].clone(), decision.permitted));
-                out[i] = Some(decision);
-            }
-            cache.insert_many(inserts, epoch);
-        }
-        out.into_iter()
-            .map(|d| d.expect("every request decided"))
-            .collect()
-    }
-
-    fn evaluate_batch(&self, ctxs: &[&AuthzContext]) -> Vec<StackDecision> {
         struct Acc {
             trace: Vec<(String, Verdict)>,
             grants: usize,
@@ -316,7 +230,7 @@ impl AuthzStack {
             if live.is_empty() {
                 break;
             }
-            let burst: Vec<&AuthzContext> = live.iter().map(|&i| ctxs[i]).collect();
+            let burst: Vec<&AuthzContext> = live.iter().map(|&i| &ctxs[i]).collect();
             let verdicts = layer.decide_batch(&burst);
             debug_assert_eq!(verdicts.len(), burst.len());
             let name = layer.name();
@@ -867,34 +781,6 @@ mod tests {
         full.push(Arc::clone(&probe) as Arc<dyn AuthzLayer>);
         assert!(full.decide(&ctx("bob", "Kbob", "read")).permitted);
         assert_eq!(probe.calls(), 1);
-    }
-
-    #[test]
-    fn cached_stack_serves_repeats_and_respects_epochs() {
-        let tm = Arc::new(TrustManager::permissive());
-        tm.add_policy(
-            "Authorizer: POLICY\nLicensees: \"Kbob\"\nConditions: app_domain==\"WebCom\";\n",
-        )
-        .unwrap();
-        let mut stack = AuthzStack::new().with_cache(256);
-        stack.push(Arc::new(TrustLayer::new(Arc::clone(&tm))));
-        let c = ctx("bob", "Kbob", "read");
-        assert!(stack.decide(&c).permitted);
-        let d = stack.decide(&c);
-        assert!(d.permitted);
-        assert_eq!(d.trace.len(), 1);
-        assert_eq!(d.trace[0].0, "cache");
-        assert_eq!(stack.cache_stats().unwrap().hits, 1);
-        // A revocation bumps the trust layer's epoch; the cached grant
-        // must not be served again.
-        tm.revoke_key("Kbob");
-        let d = stack.decide(&c);
-        assert!(!d.permitted);
-        assert_ne!(d.trace[0].0, "cache");
-        assert!(stack.cache_stats().unwrap().invalidations >= 1);
-        // The denial is itself cached under the new epoch.
-        assert!(!stack.decide(&c).permitted);
-        assert_eq!(stack.cache_stats().unwrap().hits, 2);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! * [`StampIssuer`] — held by a master, verifies the credentials it
 //!   forwards once (through its own verify cache) and signs one stamp
-//!   per signed credential. Issuance is memoized on the trust epoch and
-//!   the (append-only) credential set, so steady-state bursts reuse the
-//!   same stamp vector without re-signing.
+//!   per signed credential. The master asks for stamps only when its
+//!   presented set changes (a credential forwarded, or the trust epoch
+//!   moved), so steady-state bursts reuse its memoised set without
+//!   re-signing.
 //! * [`StampVerifier`] — held by every receiving node (client engine or
 //!   peer master), configured with the **fleet trust set**: the
 //!   printable keys of the masters whose stamps it accepts. Admission
@@ -64,9 +65,6 @@ impl StampStats {
     }
 }
 
-/// Memo cell contents: (trust epoch, credential count, stamp vector).
-type StampMemo = Option<(u64, usize, Arc<Vec<VerdictStamp>>)>;
-
 /// A master's stamp-signing half. One per master; the keypair is the
 /// master's stamp identity and its public text is what receivers list
 /// in their fleet trust set.
@@ -77,10 +75,6 @@ pub struct StampIssuer {
     /// the "verify once at the home master" half of the amortisation.
     cache: VerifyCache,
     issued: AtomicU64,
-    /// Memoized stamp vector keyed on (trust epoch, credential count).
-    /// The master's forwarded-credential set is append-only, so the
-    /// count is a revision number; any trust mutation moves the epoch.
-    memo: Mutex<StampMemo>,
 }
 
 impl StampIssuer {
@@ -92,7 +86,6 @@ impl StampIssuer {
             key_text,
             cache: VerifyCache::new(),
             issued: AtomicU64::new(0),
-            memo: Mutex::new(None),
         }
     }
 
@@ -104,18 +97,8 @@ impl StampIssuer {
 
     /// Stamps attesting this issuer's verdicts for `credentials` at
     /// trust epoch `epoch`. Unsigned/symbolic credentials have no
-    /// verdict to attest and are skipped. Memoized: re-signing only
-    /// happens when the epoch or the credential set changes.
-    pub fn stamps_for(&self, epoch: u64, credentials: &[Assertion]) -> Arc<Vec<VerdictStamp>> {
-        // The lock is held across issuance on purpose: concurrent
-        // first-requests in a burst would otherwise all miss the memo
-        // and sign the same stamps several times over.
-        let mut memo = self.memo.lock();
-        if let Some((memo_epoch, memo_len, stamps)) = memo.as_ref() {
-            if *memo_epoch == epoch && *memo_len == credentials.len() {
-                return Arc::clone(stamps);
-            }
-        }
+    /// verdict to attest and are skipped. Every call signs afresh.
+    pub fn stamps_for(&self, epoch: u64, credentials: &[Assertion]) -> Vec<VerdictStamp> {
         let issued_at = unix_now();
         let mut stamps = Vec::new();
         for cred in credentials {
@@ -126,12 +109,10 @@ impl StampIssuer {
             stamps.push(VerdictStamp::issue(&self.key, fp, &status, epoch, issued_at));
             self.issued.fetch_add(1, Ordering::Relaxed);
         }
-        let stamps = Arc::new(stamps);
-        *memo = Some((epoch, credentials.len(), Arc::clone(&stamps)));
         stamps
     }
 
-    /// Total stamps signed (memo hits do not re-sign).
+    /// Total stamps signed.
     pub fn issued(&self) -> u64 {
         self.issued.load(Ordering::Relaxed)
     }
@@ -260,18 +241,15 @@ mod tests {
     }
 
     #[test]
-    fn issuance_is_memoized_per_epoch_and_set() {
+    fn equal_length_lists_get_stamps_over_their_own_credentials() {
         let issuer = issuer();
-        let creds = vec![signed_credential("mi-1"), signed_credential("mi-2")];
-        let first = issuer.stamps_for(3, &creds);
-        assert_eq!(first.len(), 2);
+        let a = signed_credential("el-a");
+        let b = signed_credential("el-b");
+        let for_a = issuer.stamps_for(1, std::slice::from_ref(&a));
+        let for_b = issuer.stamps_for(1, std::slice::from_ref(&b));
+        assert_eq!(for_a[0].fingerprint_bytes(), credential_fingerprint(&a));
+        assert_eq!(for_b[0].fingerprint_bytes(), credential_fingerprint(&b));
         assert_eq!(issuer.issued(), 2);
-        let again = issuer.stamps_for(3, &creds);
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(issuer.issued(), 2); // no re-signing
-        let bumped = issuer.stamps_for(4, &creds);
-        assert!(!Arc::ptr_eq(&first, &bumped));
-        assert_eq!(issuer.issued(), 4);
     }
 
     #[test]
@@ -328,7 +306,7 @@ mod tests {
     fn tampered_stamp_rejected() {
         let issuer = issuer();
         let stamps = issuer.stamps_for(0, &[signed_credential("ts-1")]);
-        let mut forged = (*stamps).clone();
+        let mut forged = stamps;
         forged[0].epoch += 1; // signature no longer covers the fields
         let verifier =
             StampVerifier::new(Arc::new(VerifyCache::new())).trust_issuer(issuer.key_text());

@@ -108,6 +108,15 @@ timeout 120 cargo test -q --test verdict_stamps -- a_tampered_credential_in_a_de
 timeout 120 cargo test -q -p hetsec-webcom --lib -- \
     reference_frames_match_the_owned_named_form the_set_table_evicts_first_in_first_out
 
+echo "== one decision cache: the trust manager's, staleness-checked; stamps and lost connections =="
+timeout 120 cargo test -q --test decision_cache -- \
+    revocation_reflected_in_next_decision cache_never_serves_stale_epoch_under_concurrency
+timeout 120 cargo test -q -p hetsec-webcom --lib -- \
+    equal_length_lists_get_stamps_over_their_own_credentials \
+    stamps_are_signed_once_per_epoch_and_set \
+    a_lost_connection_is_retried_on_the_same_client
+timeout 120 cargo test -q --test presented_sets -- a_set_crosses_a_connection_once_and_again_after_a_cut
+
 echo "== listener bookkeeping: closed connections leave the tracked set =="
 timeout 120 cargo test -q -p hetsec-webcom --lib -- closed_connections_leave_the_tracked_set peer_listener_untracks_closed_connections
 

@@ -62,13 +62,13 @@ fn presented_credential_does_not_leak_into_later_requests() {
 }
 
 /// An epoch bump (revocation) must be reflected in the very next
-/// decision, through both the trust manager's cache and a stack cache.
+/// decision, through the trust manager's decision cache.
 #[test]
 fn revocation_reflected_in_next_decision() {
     let tm = trust_manager(
         "Authorizer: POLICY\nLicensees: \"Kworker\"\nConditions: app_domain==\"WebCom\";\n",
     );
-    let mut stack = AuthzStack::new().with_cache(256);
+    let mut stack = AuthzStack::new();
     stack.push(Arc::new(TrustLayer::new(Arc::clone(&tm))));
 
     let c = ctx("Kworker", "add");
@@ -82,9 +82,10 @@ fn revocation_reflected_in_next_decision() {
     assert!(stack.decide(&c).permitted, "stale denial served after reinstatement");
 }
 
-/// Concurrency: deciders hammer a cached stack while a mutator flips a
-/// key between revoked and reinstated and injects credentials. The
-/// cache must never serve a decision from a stale epoch: whenever the
+/// Concurrency: deciders hammer a stack over a trust manager while a
+/// mutator flips a key between revoked and reinstated and injects
+/// credentials. The trust manager's decision cache must never serve a
+/// decision from a stale epoch: whenever the
 /// mutator holds the key revoked (stable state), deciders must observe
 /// a denial, and vice versa.
 #[test]
@@ -92,7 +93,7 @@ fn cache_never_serves_stale_epoch_under_concurrency() {
     let tm = trust_manager(
         "Authorizer: POLICY\nLicensees: \"Kworker\"\nConditions: app_domain==\"WebCom\";\n",
     );
-    let mut stack = AuthzStack::new().with_cache(256);
+    let mut stack = AuthzStack::new();
     stack.push(Arc::new(TrustLayer::new(Arc::clone(&tm))));
     let stack = Arc::new(stack);
 
@@ -155,7 +156,7 @@ fn cache_never_serves_stale_epoch_under_concurrency() {
         d.join().unwrap();
     }
 
-    let stats = stack.cache_stats().unwrap();
+    let stats = tm.cache_stats();
     assert!(stats.hits > 0, "cache was never exercised: {stats:?}");
     assert!(
         stats.invalidations > 0,

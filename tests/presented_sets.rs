@@ -459,15 +459,10 @@ fn a_set_crosses_a_connection_once_and_again_after_a_cut() {
 
     // A new connection starts both tables empty: the set is defined again.
     // With no reader between calls, the mux finds the cut on its next
-    // use, which fails fast and retryably; the call after it redials.
+    // use and fails it `Closed`; the master re-asks the same client,
+    // whose next call redials.
     proxy.cut();
-    let mut outcome = schedule(100);
-    if let ExecOutcome::Failed(e) = &outcome {
-        assert_eq!(e.kind, ExecErrorKind::Transport, "{e:?}");
-        assert_eq!(proxy.crossed.lock().unwrap().definitions, 1);
-        outcome = schedule(100);
-    }
-    assert_eq!(outcome, ExecOutcome::Ok(Value::Int(101)));
+    assert_eq!(schedule(100), ExecOutcome::Ok(Value::Int(101)));
     assert_eq!(proxy.crossed.lock().unwrap().definitions, 2);
     server.stop();
 }

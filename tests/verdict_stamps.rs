@@ -256,7 +256,7 @@ fn client_engine_admits_stamps_riding_the_request() {
         user: "worker".into(),
         principal: "Kuser0".to_string(),
         master_key: "Km".to_string(),
-        presented: Presented::new(creds.clone(), stamps.as_ref().clone()),
+        presented: Presented::new(creds.clone(), stamps),
         args: vec![
             hetsec_graphs::Value::Int(20),
             hetsec_graphs::Value::Int(22),
