@@ -141,28 +141,6 @@ impl LintCode {
             | LintCode::GrantWidening => Severity::Error,
         }
     }
-
-    /// Short description for the lint-code table.
-    pub fn title(self) -> &'static str {
-        match self {
-            LintCode::DelegationCycle => "delegation-graph cycle",
-            LintCode::UnreachableCredential => "credential unreachable from POLICY",
-            LintCode::DanglingLicensee => "licensee never bound to a key",
-            LintCode::Escalation => "authority beyond the RBAC policy",
-            LintCode::UnsatisfiableCondition => "unsatisfiable condition clause",
-            LintCode::TautologicalCondition => "tautological condition clause",
-            LintCode::ShadowedClause => "clause shadowed by an earlier clause",
-            LintCode::UnknownAttribute => "attribute no adapter sets",
-            LintCode::BadRegex => "malformed regex literal",
-            LintCode::OutsideValidity => "outside its validity window",
-            LintCode::UnknownAuthorizer => "unknown authorizer key",
-            LintCode::DuplicateAssertion => "duplicate assertion",
-            LintCode::RevokedPrincipal => "revoked principal",
-            LintCode::MissingGrant => "RBAC grant the store does not honour",
-            LintCode::GrantWidening => "candidate store grants a request the current denies",
-            LintCode::GrantNarrowing => "candidate store denies a request the current grants",
-        }
-    }
 }
 
 /// One diagnostic.
@@ -230,11 +208,6 @@ impl Report {
     /// True when nothing was found.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// True when any error-severity finding is present.
-    pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(|f| f.severity() == Severity::Error)
     }
 
     /// The distinct codes tripped, as `HS0xx` strings.

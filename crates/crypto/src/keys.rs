@@ -176,15 +176,6 @@ impl KeyPair {
         }
     }
 
-    /// Generates a keypair from an already-seeded DRBG.
-    pub fn generate(drbg: &mut Drbg) -> Self {
-        let (public, secret) = rsa::generate_keypair(drbg);
-        KeyPair {
-            public: PublicKey { inner: public },
-            secret,
-        }
-    }
-
     /// The public half.
     pub fn public(&self) -> &PublicKey {
         &self.public

@@ -7,7 +7,7 @@
 //!
 //! * [`bigint::U512`] — fixed-width 512-bit arithmetic (add/sub/mul/
 //!   divmod/modpow/modinv/gcd, Miller-Rabin support),
-//! * [`sha256`] — FIPS 180-4 SHA-256,
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256,
 //! * [`rsa`] — textbook RSA signatures with toy 256-bit moduli,
 //! * [`keys`] — printable key/signature encodings used by KeyNote
 //!   principals,

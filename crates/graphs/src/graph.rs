@@ -1,4 +1,4 @@
-//! Condensed graph definitions (Morrison [21]).
+//! Condensed graph definitions (Morrison \[21\]).
 //!
 //! A *condensed graph* unifies availability-, coercion- and
 //! control-driven computing: nodes fire when their operands are

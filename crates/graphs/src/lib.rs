@@ -1,5 +1,5 @@
 //! Condensed graphs: the metacomputing substrate WebCom coordinates
-//! (Morrison [21], WebCom [22]).
+//! (Morrison \[21\], WebCom \[22\]).
 //!
 //! Condensed graphs unify availability-driven, coercion-driven and
 //! control-driven computing: nodes fire when their operands arrive;

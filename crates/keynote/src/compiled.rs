@@ -622,15 +622,6 @@ impl CompiledStore {
         self.assertions.get(idx).map(|a| a.licensee_ids.as_slice())
     }
 
-    /// The licensee index entry for a principal: indices of every
-    /// stored assertion mentioning it as a licensee, ascending.
-    pub fn assertions_licensing(&self, id: PrincipalId) -> &[u32] {
-        self.by_licensee
-            .get(id as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Diffs this store (old) against `new` in fingerprint space:
     /// which assertions were removed/added, and which principals'
     /// licensee-edge sets changed. Cost is O(old + new) hashmap work —
@@ -739,11 +730,6 @@ impl CompiledStore {
             .iter()
             .enumerate()
             .map(|(i, a)| (i, a.authorizer, a.licensee_ids.as_slice()))
-    }
-
-    /// Number of distinct directly-referenced action-attribute names.
-    pub fn attr_name_count(&self) -> usize {
-        self.attr_names.len()
     }
 }
 

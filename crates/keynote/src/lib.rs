@@ -11,7 +11,7 @@
 //! * [`values`] — ordered compliance value sets;
 //! * [`ast`] — assertions, licensee formulas, condition expressions;
 //! * [`lexer`] / [`parser`] — the RFC 2704 assertion syntax;
-//! * [`print`] — canonical serialisation (used for signing);
+//! * [`mod@print`] — canonical serialisation (used for signing);
 //! * [`regex`] — the POSIX-flavoured engine behind `~=`;
 //! * [`eval`] — condition evaluation against action attribute sets;
 //! * [`signing`] — credential signatures over the canonical text;

@@ -324,11 +324,6 @@ impl KeyNoteSession {
         self.attributes.set(name, value);
     }
 
-    /// Replaces the whole attribute set.
-    pub fn set_action_attributes(&mut self, attrs: ActionAttributes) {
-        self.attributes = attrs;
-    }
-
     /// Adds a requesting principal (`kn_add_authorizer`).
     pub fn add_action_authorizer(&mut self, key_text: impl Into<String>) {
         self.authorizers.push(key_text.into());

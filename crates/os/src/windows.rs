@@ -277,16 +277,6 @@ impl WindowsSecurity {
         f(&mut self.domain.write())
     }
 
-    /// Reads the domain database.
-    pub fn read_domain<R>(&self, f: impl FnOnce(&NtDomain) -> R) -> R {
-        f(&self.domain.read())
-    }
-
-    /// Creates/replaces a securable object's ACL.
-    pub fn set_acl(&self, object: &str, acl: Acl) {
-        self.objects.write().insert(object.to_string(), acl);
-    }
-
     /// Appends an ACE to an object's ACL (creating the object).
     pub fn add_ace(&self, object: &str, ace: Ace) {
         self.objects

@@ -1,12 +1,6 @@
 //! Shared policy fixtures, most importantly the paper's Figure 1.
 
-use crate::ids::ObjectType;
 use crate::policy::{PermissionGrant, RbacPolicy, RoleAssignment};
-
-/// The object type of the paper's running example.
-pub fn salaries_db() -> ObjectType {
-    ObjectType::new("SalariesDB")
-}
 
 /// The paper's Figure 1: the RBAC relations for a salaries database.
 ///

@@ -14,26 +14,16 @@
 //! which the trust layer encodes into KeyNote credentials.
 //!
 //! Modules: [`ids`] (typed names), [`policy`] (the relations and access
-//! checks), [`hierarchy`] (RBAC1 role hierarchies + flattening),
-//! [`sessions`] (RBAC96 sessions / role activation), [`constraints`]
-//! (RBAC2 separation of duty), [`delegation`] (user-to-user role
-//! delegation, the paper's [29]), [`diff`] (policy differencing for
-//! maintenance), [`fixtures`] (the paper's Figure 1 and synthetic
-//! workloads).
+//! checks), [`diff`] (policy differencing for maintenance), [`fixtures`]
+//! (the paper's Figure 1 and synthetic workloads). Delegation is not an
+//! RBAC relation here: it is KeyNote delegation, done by the trust layer
+//! (the paper's Figures 4 and 7).
 
-pub mod constraints;
-pub mod delegation;
 pub mod diff;
 pub mod fixtures;
-pub mod hierarchy;
 pub mod ids;
 pub mod policy;
-pub mod sessions;
 
-pub use constraints::{ConstraintSet, SodConstraint, SodKind, SodViolation};
-pub use delegation::{Delegation, DelegationError, DelegationStore};
 pub use diff::PolicyDiff;
-pub use hierarchy::{HierarchyError, RoleHierarchy};
 pub use ids::{Domain, DomainRole, ObjectType, Permission, Role, User};
 pub use policy::{PermissionGrant, RbacPolicy, RoleAssignment};
-pub use sessions::{RbacSession, SessionsError};

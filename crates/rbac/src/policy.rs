@@ -12,7 +12,7 @@
 
 use crate::ids::{Domain, DomainRole, ObjectType, Permission, Role, User};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One row of the `HasPermission` relation.
@@ -142,16 +142,6 @@ impl RbacPolicy {
         before - self.user_role.len()
     }
 
-    /// Removes a role from both relations (memberships and grants).
-    pub fn remove_role(&mut self, domain: &Domain, role: &Role) -> usize {
-        let before = self.user_role.len() + self.has_permission.len();
-        self.user_role
-            .retain(|a| !(&a.domain == domain && &a.role == role));
-        self.has_permission
-            .retain(|g| !(&g.domain == domain && &g.role == role));
-        before - self.user_role.len() - self.has_permission.len()
-    }
-
     // ---- raw access ----
 
     /// The `HasPermission` relation.
@@ -252,34 +242,6 @@ impl RbacPolicy {
             .collect()
     }
 
-    /// All permissions a (domain, role) holds, grouped by object type.
-    pub fn permissions_of_role(
-        &self,
-        domain: &Domain,
-        role: &Role,
-    ) -> BTreeMap<ObjectType, BTreeSet<Permission>> {
-        let mut out: BTreeMap<ObjectType, BTreeSet<Permission>> = BTreeMap::new();
-        for g in &self.has_permission {
-            if &g.domain == domain && &g.role == role {
-                out.entry(g.object_type.clone())
-                    .or_default()
-                    .insert(g.permission.clone());
-            }
-        }
-        out
-    }
-
-    /// The effective permissions of a user: union over their roles.
-    pub fn permissions_of_user(&self, user: &User) -> BTreeMap<ObjectType, BTreeSet<Permission>> {
-        let mut out: BTreeMap<ObjectType, BTreeSet<Permission>> = BTreeMap::new();
-        for dr in self.roles_of(user) {
-            for (t, perms) in self.permissions_of_role(&dr.domain, &dr.role) {
-                out.entry(t).or_default().extend(perms);
-            }
-        }
-        out
-    }
-
     /// All domains mentioned by either relation.
     pub fn domains(&self) -> BTreeSet<Domain> {
         let mut out: BTreeSet<Domain> = self
@@ -323,21 +285,6 @@ impl RbacPolicy {
             .extend(other.has_permission.iter().cloned());
         self.user_role.extend(other.user_role.iter().cloned());
         self.has_permission.len() + self.user_role.len() - before
-    }
-
-    /// Validation: role assignments referring to (domain, role) pairs
-    /// with no permissions at all are reported as *dangling* (usually a
-    /// sign of a mistyped role name during migration).
-    pub fn dangling_assignments(&self) -> Vec<&RoleAssignment> {
-        let granted: BTreeSet<DomainRole> = self
-            .has_permission
-            .iter()
-            .map(PermissionGrant::domain_role)
-            .collect();
-        self.user_role
-            .iter()
-            .filter(|a| !granted.contains(&a.domain_role()))
-            .collect()
     }
 }
 
@@ -434,17 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_user_and_role() {
+    fn remove_user_drops_their_memberships() {
         let mut p = salaries_policy();
         assert_eq!(p.remove_user(&"Elaine".into()), 1);
         assert!(!p.user_in_role(&"Elaine".into(), &"Sales".into(), &"Manager".into()));
-        let removed = p.remove_role(&"Finance".into(), &"Manager".into());
-        assert_eq!(removed, 3); // 2 grants + Bob's assignment
-        assert!(!p.check_access(
-            &"Bob".into(),
-            &ObjectType::new("SalariesDB"),
-            &"read".into()
-        ));
     }
 
     #[test]
@@ -463,20 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn permissions_grouping() {
-        let p = salaries_policy();
-        let perms = p.permissions_of_role(&"Finance".into(), &"Manager".into());
-        let db = perms.get(&ObjectType::new("SalariesDB")).unwrap();
-        assert_eq!(db.len(), 2);
-        let user_perms = p.permissions_of_user(&"Bob".into());
-        assert_eq!(
-            user_perms[&ObjectType::new("SalariesDB")].len(),
-            2
-        );
-        assert!(p.permissions_of_user(&"Dave".into()).is_empty());
-    }
-
-    #[test]
     fn merge_unions() {
         let mut a = salaries_policy();
         let mut b = RbacPolicy::new();
@@ -487,15 +413,6 @@ mod tests {
         let added = a.merge(&b);
         assert_eq!(added, 2);
         assert!(a.check_access(&"Fred".into(), &"PersonnelDB".into(), &"read".into()));
-    }
-
-    #[test]
-    fn dangling_assignment_detection() {
-        let p = salaries_policy();
-        // Dave's Sales/Assistant has no permission rows ("no access").
-        let dangling = p.dangling_assignments();
-        assert_eq!(dangling.len(), 1);
-        assert_eq!(dangling[0].user, User::new("Dave"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   RBAC encoded as the Figure 5 policy assertion plus Figure 6
 //!   membership credentials;
 //! * **Policy Migration** (§4.3) — [`migration`]: export → interpret
-//!   (domain/permission maps, similarity-matched roles [13]) → import;
+//!   (domain/permission maps, similarity-matched roles \[13\]) → import;
 //! * **Policy Maintenance** (§4.4) — [`maintenance`]: the
 //!   [`maintenance::PolicyBus`] propagating top-down changes and
 //!   auditing consistency;

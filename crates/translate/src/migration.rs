@@ -5,7 +5,7 @@
 //! *interpretation* in between: domains must be remapped onto the target
 //! instance's domains, permission vocabularies differ (COM+'s coarse
 //! `Launch`/`Access`/`RunAs` vs method-level EJB/CORBA permissions), and
-//! role names may have drifted — resolved with similarity metrics [13].
+//! role names may have drifted — resolved with similarity metrics \[13\].
 
 use crate::similarity::best_match;
 use hetsec_middleware::security::{ImportReport, MiddlewareSecurity};

@@ -1,9 +1,9 @@
-//! Similarity metrics for imprecise policy migration (paper §4.3, [13]).
+//! Similarity metrics for imprecise policy migration (paper §4.3, \[13\]).
 //!
 //! Migrating a policy between middleware systems is "not a simple
 //! one-to-one mapping": role and domain names drift (`Manager` vs
 //! `Managers` vs `SalesManager`). Following Foley's imprecise-delegation
-//! work [13], names are matched by string similarity; three standard
+//! work \[13\], names are matched by string similarity; three standard
 //! metrics are provided plus a combined scorer and a best-match resolver.
 
 use std::collections::BTreeSet;

@@ -187,23 +187,6 @@ impl DecisionCache {
         }
     }
 
-    /// Number of live entries (any epoch).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
     /// Counters since creation.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -247,6 +230,11 @@ mod tests {
         cache.get_many(&[key], epoch)[0]
     }
 
+    /// Number of live entries (any epoch).
+    fn len(cache: &DecisionCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
     #[test]
     fn hit_requires_matching_epoch() {
         let cache = DecisionCache::new(64);
@@ -267,7 +255,7 @@ mod tests {
         for i in 0..1000 {
             cache.insert_many(vec![(key("Ka", i), i % 2 == 0)], 0);
         }
-        assert!(cache.len() <= 16);
+        assert!(len(&cache) <= 16);
         assert!(cache.stats().evictions >= 1000 - 16);
     }
 
@@ -285,15 +273,5 @@ mod tests {
         assert_eq!(decision_fingerprint(&a, &[]), decision_fingerprint(&b, &[]));
         let c = ActionAttributes::new().with("x", "1").with("y", "3");
         assert_ne!(decision_fingerprint(&a, &[]), decision_fingerprint(&c, &[]));
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = DecisionCache::new(64);
-        cache.insert_many(vec![(key("Ka", 1), true)], 0);
-        assert_eq!(get(&cache, key("Ka", 1), 0), Some(true));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().hits, 1);
     }
 }

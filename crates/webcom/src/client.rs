@@ -716,4 +716,95 @@ mod tests {
         assert_eq!(log.totals(), (1, 1));
         assert_eq!(log.recent(10).len(), 2);
     }
+
+    /// Figure 9's System X: Unix OS + KeyNote, no middleware at all.
+    #[test]
+    fn system_x_unix_plus_keynote_only() {
+        use crate::master::{Binding, WebComMaster};
+        use crate::stack::UnixOsLayer;
+        use hetsec_os::unix::{Mode, UnixObject, UnixSecurity, UnixUser};
+
+        let os = Arc::new(UnixSecurity::new());
+        os.add_user(
+            "worker",
+            UnixUser {
+                uid: 7,
+                gid: 7,
+                groups: vec![],
+            },
+        );
+        os.set_object(
+            "Calc",
+            UnixObject {
+                owner: 7,
+                group: 7,
+                mode: Mode::from_octal(0o700),
+            },
+        );
+        let user_tm = permissive_tm(
+            "Authorizer: POLICY\nLicensees: \"Kworker\"\nConditions: app_domain==\"WebCom\";\n",
+        );
+        let mut stack = AuthzStack::new();
+        stack.push(Arc::new(TrustLayer::new(user_tm)));
+        stack.push(Arc::new(UnixOsLayer::new(os, ["Calc".to_string()])));
+        let client = spawn_client(ClientConfig {
+            name: "system-x".to_string(),
+            key_text: "Kx".to_string(),
+            master_trust: permissive_tm(
+                "Authorizer: POLICY\nLicensees: \"Kmaster\"\nConditions: app_domain==\"WebCom\";\n",
+            ),
+            stack: Arc::new(stack),
+            executor: Arc::new(ArithComponentExecutor),
+        });
+
+        let master = WebComMaster::new(
+            "Kmaster",
+            permissive_tm(
+                "Authorizer: POLICY\nLicensees: \"Kx\"\nConditions: app_domain==\"WebCom\";\n",
+            ),
+        );
+        master.register_client(&client, vec!["Dom".into()]);
+        master.bind(
+            "add",
+            Binding {
+                component: ComponentRef::new(MiddlewareKind::Ejb, "Dom", "Calc", "add"),
+                domain: "Dom".into(),
+                role: "Worker".into(),
+                user: "worker".into(),
+                principal: "Kworker".to_string(),
+            },
+        );
+        let out = master.schedule_primitive("add", vec![Value::Int(40), Value::Int(2)]);
+        assert_eq!(out, ExecOutcome::Ok(Value::Int(42)));
+        client.shutdown();
+    }
+
+    #[test]
+    fn environment_without_trusted_master_refuses() {
+        use crate::master::WebComMaster;
+
+        let user_tm = permissive_tm(
+            "Authorizer: POLICY\nLicensees: \"Kworker\"\nConditions: app_domain==\"WebCom\";\n",
+        );
+        let mut stack = AuthzStack::new();
+        stack.push(Arc::new(TrustLayer::new(user_tm)));
+        // An empty master-trust store: the client trusts no master.
+        let client = spawn_client(ClientConfig {
+            name: "isolated".to_string(),
+            key_text: "Ki".to_string(),
+            master_trust: Arc::new(TrustManager::permissive()),
+            stack: Arc::new(stack),
+            executor: Arc::new(ArithComponentExecutor),
+        });
+        let master = WebComMaster::new(
+            "Kmaster",
+            permissive_tm(
+                "Authorizer: POLICY\nLicensees: \"Ki\"\nConditions: app_domain==\"WebCom\";\n",
+            ),
+        );
+        master.register_client(&client, vec!["Dom".into()]);
+        let out = master.schedule(&action("add"), &"worker".into(), "Kworker", vec![]);
+        assert!(matches!(out, ExecOutcome::Denied(ref m) if m.contains("master")));
+        client.shutdown();
+    }
 }

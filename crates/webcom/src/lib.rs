@@ -18,6 +18,11 @@
 //!   scheduling protocol: length-prefixed framing, the
 //!   [`transport::ClientTransport`] abstraction (in-process channels,
 //!   TCP, fault injection), and the TCP server frontend for clients;
+//! * Figure 9's differently equipped systems (W, X, Y, Z) are each one
+//!   [`client::ClientConfig`] passed to [`client::spawn_client`]: the
+//!   [`stack::AuthzStack`] holds the layers that platform provides, and
+//!   `master_trust` names the masters it accepts (see the suite's
+//!   `interop_scenario` example);
 //! * [`keycom`] — the automated administration service applying
 //!   credential-backed policy updates to middleware catalogues
 //!   (Figure 8);
@@ -27,7 +32,6 @@
 pub mod audit;
 pub mod authz;
 pub mod cache;
-pub mod environment;
 pub mod executor;
 pub mod client;
 pub mod fabric;
@@ -52,7 +56,6 @@ pub use client::{
     spawn_client, spawn_engine, ClientConfig, ClientEngine, ClientHandle, ClientMessage,
     ClientStats,
 };
-pub use environment::EnvironmentBuilder;
 pub use executor::MiddlewareExecutor;
 pub use fabric::{
     serve_master, LocalPeerLink, MasterServer, PeerLink, ShardInfo, ShardRing, ShardRouter,

@@ -198,9 +198,11 @@ fn principal_assertion(key: &str) -> Assertion {
 
 /// Builds the shared client-side authorisation stack: one
 /// [`TrustManager`] whose compiled store licenses all `n` synthetic
-/// principals. Built once and shared by every serving client — the
-/// compiled store's licensee index keeps per-decision cost independent
-/// of `n`.
+/// principals. Built once and shared by every serving client.
+///
+/// Only a decision-cache hit costs the same at every `n`. A miss still
+/// grows with the store despite the licensee index: measured on 2 vCPUs,
+/// 1.8–3.8 µs at 1k principals and 124–147 µs at 100k.
 pub fn synthetic_stack(n: usize) -> Arc<AuthzStack> {
     let tm = TrustManager::permissive();
     for i in 0..n {

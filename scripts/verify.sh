@@ -126,6 +126,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "== clippy (-D warnings): whole workspace, all targets =="
 cargo clippy --no-deps --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (-D warnings): no broken or ambiguous intra-doc links =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== bench smoke (--test mode: run once, no timing) =="
 ./scripts/bench.sh --smoke
 

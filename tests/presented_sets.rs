@@ -345,6 +345,10 @@ impl Proxy {
             for downstream in listener.incoming() {
                 let Ok(downstream) = downstream else { return };
                 let up = TcpStream::connect(upstream).unwrap();
+                // Each frame goes on in two writes: without TCP_NODELAY the
+                // second waits out the peer's delayed ACK.
+                downstream.set_nodelay(true).unwrap();
+                up.set_nodelay(true).unwrap();
                 proxy_live
                     .lock()
                     .unwrap()

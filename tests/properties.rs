@@ -401,52 +401,3 @@ fn adding_credentials_is_monotone() {
         }
     }
 }
-
-// ---- Role-hierarchy flattening preserves access decisions ----
-
-#[test]
-fn flattening_a_hierarchy_preserves_decisions() {
-    use hetsec_rbac::hierarchy::RoleHierarchy;
-    use hetsec_rbac::DomainRole;
-    let mut rng = Rng::new(0xf1a7);
-    for case in 0..32 {
-        // All roles live in one fixed domain so hierarchy edges are
-        // always well-formed.
-        let roles = ["R0", "R1", "R2", "R3", "R4"];
-        let mut policy = RbacPolicy::new();
-        for _ in 0..range(&mut rng, 1, 10) {
-            let r = rng.below(5);
-            let t = rng.below(3);
-            let p = gen_word(&mut rng, 1, 4);
-            policy.grant(PermissionGrant::new("D", roles[r], format!("T{t}"), p.as_str()));
-        }
-        for _ in 0..range(&mut rng, 1, 8) {
-            let u = gen_word(&mut rng, 1, 5);
-            let r = rng.below(5);
-            policy.assign(RoleAssignment::new(u.as_str(), "D", roles[r]));
-        }
-        let mut h = RoleHierarchy::new();
-        for _ in 0..rng.below(6) {
-            let a = rng.below(5);
-            let b = rng.below(5);
-            if a != b {
-                // Cycle-producing edges are rejected; that's fine.
-                let _ = h.add_seniority(
-                    DomainRole::new("D", roles[a]),
-                    DomainRole::new("D", roles[b]),
-                );
-            }
-        }
-        // Flatten into a copy; hierarchical check on the original must
-        // equal the flat check on the flattened policy.
-        let mut flat = policy.clone();
-        h.flatten(&mut flat);
-        for user in policy.users() {
-            for g in policy.grants() {
-                let hier = h.check_access(&policy, &user, &g.object_type, &g.permission);
-                let flat_says = flat.check_access(&user, &g.object_type, &g.permission);
-                assert_eq!(hier, flat_says, "case {case}: user={user} grant={g}");
-            }
-        }
-    }
-}

@@ -63,6 +63,10 @@ fn counting_proxy(upstream: SocketAddr) -> (SocketAddr, Arc<[AtomicUsize; 2]>) {
         for downstream in listener.incoming() {
             let Ok(downstream) = downstream else { return };
             let up = TcpStream::connect(upstream).unwrap();
+            // Each frame goes on in two writes: without TCP_NODELAY the
+            // second waits out the peer's delayed ACK.
+            downstream.set_nodelay(true).unwrap();
+            up.set_nodelay(true).unwrap();
             for (dir, (mut from, mut to)) in [
                 (0, (downstream.try_clone().unwrap(), up.try_clone().unwrap())),
                 (1, (up, downstream)),
